@@ -10,7 +10,6 @@ from .acquisition import (
 )
 from .bounds import BoundParams, Lemma3Result, lemma3_check, theorem1_bound
 from .completion import (
-    ApgState,
     CompletionConfig,
     CompletionResult,
     apg_minimize,
@@ -38,21 +37,12 @@ from .linear_model import (
     predict,
     train_ridge,
 )
-from .matrix import (
-    PartialMatrix,
-    SvdFactors,
-    coherence,
-    frobenius_norm,
-    project_omega,
-    svd,
-    trace_norm,
-)
-from .poss import BiObjectiveProblem, Solution, SolutionArchive, poss_optimize
+from .matrix import PartialMatrix, coherence, frobenius_norm, trace_norm
+from .poss import BiObjectiveProblem, poss_optimize
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ApgState",
     "BiObjectiveProblem",
     "BoundParams",
     "CompletionConfig",
@@ -69,9 +59,6 @@ __all__ = [
     "PartialMatrix",
     "RoundRecord",
     "ScoredEntry",
-    "Solution",
-    "SolutionArchive",
-    "SvdFactors",
     "accuracy",
     "apg_minimize",
     "auc",
@@ -87,12 +74,10 @@ __all__ = [
     "make_split",
     "poss_optimize",
     "predict",
-    "project_omega",
     "reconstruction_errors",
     "run_experiment",
     "select_cost_ratio",
     "select_top_k",
-    "svd",
     "svt",
     "theorem1_bound",
     "trace_norm",

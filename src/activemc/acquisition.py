@@ -25,10 +25,9 @@ class ScoredEntry(NamedTuple):
 
 @dataclass
 class CostModel:
-    """Per-column acquisition prices and the per-round spend cap."""
+    """Per-column acquisition prices."""
 
     column_costs: np.ndarray
-    budget_per_round: float = 1.0
 
     def __post_init__(self):
         self.column_costs = np.asarray(self.column_costs, dtype=float)
@@ -36,8 +35,6 @@ class CostModel:
             raise DimensionMismatchError("column_costs must be a 1-d vector")
         if not (self.column_costs > 0).all():
             raise ValueError("all column costs must be positive")
-        if self.budget_per_round <= 0:
-            raise ValueError("budget_per_round must be positive")
 
 
 class InformativenessTracker:

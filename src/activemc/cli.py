@@ -26,7 +26,7 @@ from .errors import DivergenceError
 from .harness import (
     ExperimentPlan,
     init_mask,
-    observed_column_stats,
+    masked_problem,
     reconstruction_errors,
     run_experiment,
 )
@@ -97,17 +97,10 @@ def _cmd_complete(args) -> int:
         positive_label=args.positive_label,
         delimiter=args.delimiter,
         has_header=args.has_header,
-        standardize=not args.no_standardize,
     )
     features, labels = data_io.load_dataset(spec)
     mask = init_mask(features.shape, args.observed, args.seed)
-
-    x_true = features.copy()
-    if spec.standardize:
-        means, stds = observed_column_stats(x_true, mask)
-        x_true = (x_true - means) / stds
-
-    obs = PartialMatrix(np.where(mask, x_true, 0.0), mask)
+    obs, x_true = masked_problem(features, mask, not args.no_standardize)
     cfg = CompletionConfig(lambda1=args.lambda1, lambda2=args.lambda2)
     result = fit(obs, labels, cfg)
 
@@ -149,6 +142,10 @@ def _cmd_simulate(args) -> int:
         raise ValueError(f"invalid config: {exc}") from exc
 
     result = run_experiment(plan)
+    for index, records in enumerate(result.replicates):
+        if len(records) < plan.rounds:
+            print(f"simulate: replicate {index} stopped after round {records[-1].round} "
+                  f"of {plan.rounds}", file=sys.stderr)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -202,7 +199,7 @@ def _cmd_bound(args) -> int:
         rng = np.random.default_rng(np.random.SeedSequence([args.seed, trial]))
         x, y, _ = labeled_lowrank(args.n, args.d, args.rank, rng)
         mask = init_mask(x.shape, args.observed, rng)
-        obs = PartialMatrix(np.where(mask, x, 0.0), mask)
+        obs = PartialMatrix(x, mask)
         result = fit(obs, y)
 
         _, measured = reconstruction_errors(result.x_hat, x)

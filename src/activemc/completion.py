@@ -69,18 +69,6 @@ class CompletionConfig:
 
 
 @dataclass
-class ApgState:
-    """Iterates of the accelerated inner loop."""
-
-    x_curr: np.ndarray
-    x_prev: np.ndarray
-    z: np.ndarray
-    theta_curr: float
-    theta_prev: float
-    l: float
-
-
-@dataclass
 class CompletionResult:
     x_hat: np.ndarray
     model: LinearModel
@@ -168,37 +156,34 @@ def _apg(obs, model, y, cfg, warm, callback=None):
     monotone), its objective value, and the accepted-step count.
     """
     lam1, lam2 = cfg.lambda1, cfg.lambda2
-    state = ApgState(
-        x_curr=warm.copy(),
-        x_prev=warm.copy(),
-        z=warm.copy(),
-        theta_curr=cfg.theta0,
-        theta_prev=cfg.theta0,
-        l=cfg.l_init,
-    )
+    # iterates are rebound, never written in place, so one copy keeps the
+    # caller's array out of the result
+    x_curr = x_prev = warm.copy()
+    theta_curr = theta_prev = cfg.theta0
+    l = cfg.l_init
 
-    f_curr = _g_value(state.x_curr, obs, model, y, lam2)
-    f_curr += lam1 * trace_norm(state.x_curr) if lam1 else 0.0
-    best_x, best_f = state.x_curr, f_curr
+    f_curr = _g_value(x_curr, obs, model, y, lam2)
+    f_curr += lam1 * trace_norm(x_curr) if lam1 else 0.0
+    best_x, best_f = x_curr, f_curr
     iterations = 0
 
     for k in range(cfg.max_inner):
-        beta = state.theta_curr * (1.0 / state.theta_prev - 1.0)
-        state.z = state.x_curr + beta * (state.x_curr - state.x_prev)
-        gz = grad_g(state.z, obs, model, y, lam2)
-        g_at_z = _g_value(state.z, obs, model, y, lam2)
+        beta = theta_curr * (1.0 / theta_prev - 1.0)
+        z = x_curr + beta * (x_curr - x_prev)
+        gz = grad_g(z, obs, model, y, lam2)
+        g_at_z = _g_value(z, obs, model, y, lam2)
 
         while True:
-            x_next, sig = _svt_with_sigma(state.z - gz / state.l, lam1 / state.l)
+            x_next, sig = _svt_with_sigma(z - gz / l, lam1 / l)
             tr_next = float(sig.sum())
             g_next = _g_value(x_next, obs, model, y, lam2)
-            diff = x_next - state.z
+            diff = x_next - z
             lhs = g_next + lam1 * tr_next
             rhs = (
                 g_at_z
                 + float(np.vdot(gz, diff))
                 + lam1 * tr_next
-                + 0.5 * state.l * float(np.vdot(diff, diff))
+                + 0.5 * l * float(np.vdot(diff, diff))
             )
             if not (np.isfinite(lhs) and np.isfinite(rhs)):
                 raise DivergenceError(
@@ -206,7 +191,7 @@ def _apg(obs, model, y, cfg, warm, callback=None):
                 )
             if lhs <= rhs:
                 break
-            state.l *= cfg.gamma
+            l *= cfg.gamma
 
         f_next = g_next + lam1 * tr_next
         if not np.isfinite(f_next):
@@ -217,16 +202,16 @@ def _apg(obs, model, y, cfg, warm, callback=None):
             callback(
                 {
                     "iteration": k,
-                    "l": state.l,
+                    "l": l,
                     "majorization_lhs": lhs,
                     "majorization_rhs": rhs,
                     "objective": f_next,
                 }
             )
 
-        th = state.theta_curr
-        state.theta_prev, state.theta_curr = th, 0.5 * (math.sqrt(th**4 + 4 * th**2) - th**2)
-        state.x_prev, state.x_curr = state.x_curr, x_next
+        th = theta_curr
+        theta_prev, theta_curr = th, 0.5 * (math.sqrt(th**4 + 4 * th**2) - th**2)
+        x_prev, x_curr = x_curr, x_next
 
         if f_next < best_f:
             best_f, best_x = f_next, x_next

@@ -8,7 +8,7 @@ ready to plot as learning curves.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -16,16 +16,7 @@ import numpy as np
 from .errors import DatasetFormatError, DegenerateLabelsError
 from .harness import RoundRecord
 
-RECORD_COLUMNS = (
-    "round",
-    "cumulative_cost",
-    "queried_entries",
-    "recon_rel",
-    "recon_msq",
-    "train_objective",
-    "test_accuracy",
-    "test_auc",
-)
+RECORD_COLUMNS = tuple(f.name for f in fields(RoundRecord))
 
 
 @dataclass
@@ -43,7 +34,6 @@ class DatasetSpec:
     positive_label: str | None = None
     delimiter: str = ","
     has_header: bool = False
-    standardize: bool = True
 
 
 def _resolve_label_index(spec: DatasetSpec, header: list[str] | None, width: int) -> int:
@@ -131,10 +121,18 @@ def load_dataset(spec: DatasetSpec) -> tuple[np.ndarray, np.ndarray]:
         labels.append(_parse_label(row[label_idx], spec.positive_label, f"{path} line {line_num}"))
         features.append(feat)
 
+    x = np.asarray(features, dtype=float)
+    if not np.isfinite(x).all():
+        i, j = np.argwhere(~np.isfinite(x))[0]
+        col = j + int(j >= label_idx)
+        line_num, row = rows[i]
+        raise DatasetFormatError(
+            f"{path} line {line_num}, column {col + 1}: non-finite value {row[col]!r}"
+        )
     y = np.asarray(labels, dtype=int)
     if y.min() == y.max():
         raise DegenerateLabelsError(f"{path} yields a single class after label mapping")
-    return np.asarray(features, dtype=float), y
+    return x, y
 
 
 def write_dataset(path, features: np.ndarray, labels: np.ndarray, delimiter: str = ",") -> None:
@@ -168,15 +166,4 @@ def write_records(path, records: list[RoundRecord]) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(RECORD_COLUMNS)
         for rec in records:
-            writer.writerow(
-                [
-                    _format_value(rec.round),
-                    _format_value(rec.cumulative_cost),
-                    _format_value(rec.queried_entries),
-                    _format_value(rec.recon_rel),
-                    _format_value(rec.recon_msq),
-                    _format_value(rec.train_objective),
-                    _format_value(rec.test_accuracy),
-                    _format_value(rec.test_auc),
-                ]
-            )
+            writer.writerow([_format_value(v) for v in astuple(rec)])

@@ -12,7 +12,7 @@ purchase, so the first row of every learning curve sits at zero cost.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .completion import CompletionConfig, fit
 from .errors import (
     DegenerateLabelsError,
     DimensionMismatchError,
+    DivergenceError,
     PoolExhausted,
     StratificationError,
 )
@@ -176,8 +177,8 @@ def make_split(features, labels, train_fraction: float, seed) -> tuple[LabeledSp
         if len(te) > 0 and y[te].min() == y[te].max():
             continue
         return (
-            LabeledSplit(x[tr], y[tr], role="train"),
-            LabeledSplit(x[te], y[te], role="test"),
+            LabeledSplit(x[tr], y[tr]),
+            LabeledSplit(x[te], y[te]),
         )
     raise StratificationError(
         f"no two-class split found in {_SPLIT_RETRIES} attempts "
@@ -224,6 +225,21 @@ def observed_column_stats(values: np.ndarray, mask: np.ndarray) -> tuple[np.ndar
     stds = np.sqrt(variances)
     stds[stds <= 1e-12] = 1.0
     return means, stds
+
+
+def masked_problem(features, mask, standardize: bool, *others):
+    """``(PartialMatrix, ground truth, *others)`` for one observation mask.
+
+    With ``standardize`` the ground truth and every extra matrix (held-out
+    rows, say) are scaled by the column statistics of the observed cells.
+    """
+    x_true = _as_matrix(features)
+    extra = [_as_matrix(m) for m in others]
+    if standardize:
+        means, stds = observed_column_stats(x_true, mask)
+        x_true = (x_true - means) / stds
+        extra = [(m - means) / stds for m in extra]
+    return (PartialMatrix(x_true, mask), x_true, *extra)
 
 
 def _random_batch(missing, size, rng):
@@ -296,17 +312,10 @@ def run_replicate(plan: ExperimentPlan, features: np.ndarray, labels: np.ndarray
         column_costs = np.random.default_rng(cost_ss).integers(1, 11, size=d).astype(float)
     else:
         column_costs = np.ones(d)
-    costs = CostModel(column_costs, plan.budget_per_round)
+    costs = CostModel(column_costs)
 
-    x_true = train.features.copy()
-    test_x = test.features.copy()
-    if plan.standardize:
-        means, stds = observed_column_stats(x_true, mask)
-        x_true = (x_true - means) / stds
-        test_x = (test_x - means) / stds
-
+    obs, x_true, test_x = masked_problem(train.features, mask, plan.standardize, test.features)
     oracle = Oracle(x_true, costs)
-    obs = PartialMatrix(np.where(mask, x_true, 0.0), mask)
     tracker = InformativenessTracker(plan.window)
     cfg = plan.completion_config()
     select_rng = np.random.default_rng(select_ss)
@@ -318,7 +327,11 @@ def run_replicate(plan: ExperimentPlan, features: np.ndarray, labels: np.ndarray
     queries: list[list[tuple[int, int]]] = []
 
     for round_index in range(1, plan.rounds + 1):
-        result = fit(obs, train.labels, cfg, warm_start=warm)
+        try:
+            result = fit(obs, train.labels, cfg, warm_start=warm)
+        except DivergenceError as exc:
+            raise DivergenceError(f"replicate {replicate}, round {round_index}: {exc}",
+                                  exc.iteration) from exc
         warm = result.x_hat
         tracker.record_snapshot(result.x_hat)
 
@@ -354,22 +367,12 @@ def run_replicate(plan: ExperimentPlan, features: np.ndarray, labels: np.ndarray
 
 
 def _mean_series(replicates: list[list[RoundRecord]]) -> list[RoundRecord]:
-    depth = min(len(r) for r in replicates)
+    """Per round, the mean over the replicates that reached that round."""
     mean: list[RoundRecord] = []
-    for i in range(depth):
-        rows = [r[i] for r in replicates]
-        mean.append(
-            RoundRecord(
-                round=rows[0].round,
-                cumulative_cost=float(np.mean([r.cumulative_cost for r in rows])),
-                queried_entries=float(np.mean([r.queried_entries for r in rows])),
-                recon_rel=float(np.mean([r.recon_rel for r in rows])),
-                recon_msq=float(np.mean([r.recon_msq for r in rows])),
-                train_objective=float(np.mean([r.train_objective for r in rows])),
-                test_accuracy=float(np.mean([r.test_accuracy for r in rows])),
-                test_auc=float(np.mean([r.test_auc for r in rows])),
-            )
-        )
+    for i in range(max(len(r) for r in replicates)):
+        rows = [astuple(r[i]) for r in replicates if len(r) > i]
+        round_index, *values = zip(*rows)
+        mean.append(RoundRecord(round_index[0], *(float(np.mean(v)) for v in values)))
     return mean
 
 
@@ -391,7 +394,6 @@ def run_experiment(plan: ExperimentPlan, features=None, labels=None) -> Experime
                 positive_label=plan.positive_label,
                 delimiter=plan.delimiter,
                 has_header=plan.has_header,
-                standardize=plan.standardize,
             )
         )
     features = _as_matrix(features)

@@ -7,7 +7,7 @@ strictly -1/+1 throughout the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,11 +39,10 @@ class LinearModel:
 
 @dataclass
 class LabeledSplit:
-    """Feature rows with their labels and the role they play in a run."""
+    """Feature rows with their labels."""
 
     features: np.ndarray
     labels: np.ndarray
-    role: str = field(default="train")
 
     def __post_init__(self):
         self.features = _as_matrix(self.features)
@@ -51,8 +50,6 @@ class LabeledSplit:
         _as_labels(self.labels)
         if self.features.shape[0] != self.labels.shape[0]:
             raise DimensionMismatchError("feature rows and labels disagree in length")
-        if self.role not in ("train", "test"):
-            raise ValueError(f"unknown split role {self.role!r}")
 
     def __len__(self) -> int:
         return self.labels.shape[0]

@@ -91,41 +91,6 @@ class PartialMatrix:
         return PartialMatrix(self.values, self.mask)
 
 
-def project_omega(m, mask) -> np.ndarray:
-    """Keep entries where ``mask`` is True, zero everywhere else."""
-    a = _as_matrix(m)
-    msk = _as_mask(mask, a.shape)
-    return np.where(msk, a, 0.0)
-
-
-@dataclass(frozen=True)
-class SvdFactors:
-    """Economy SVD ``u @ diag(sigma) @ v.T`` with nonincreasing sigma."""
-
-    u: np.ndarray
-    sigma: np.ndarray
-    v: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.u * self.sigma) @ self.v.T
-
-
-def svd(m) -> SvdFactors:
-    """Economy SVD with a deterministic sign convention.
-
-    Signs are fixed so the largest-magnitude entry of every left singular
-    vector is positive, which makes factor comparisons repeatable.
-    """
-    a = _check_finite(_as_matrix(m))
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    v = vh.T
-    r = s.size
-    pivot = np.argmax(np.abs(u), axis=0)
-    signs = np.sign(u[pivot, np.arange(r)])
-    signs[signs == 0] = 1.0
-    return SvdFactors(u=u * signs, sigma=s, v=v * signs)
-
-
 def frobenius_norm(m) -> float:
     a = _check_finite(_as_matrix(m))
     return float(np.linalg.norm(a, "fro"))

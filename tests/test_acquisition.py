@@ -127,7 +127,7 @@ class TestSelection:
             select_top_k(self.scores(), 0)
 
     def test_uniform_costs_match_plain_selection(self):
-        costs = CostModel(np.ones(2), budget_per_round=5.0)
+        costs = CostModel(np.ones(2))
         assert select_cost_ratio(self.scores(), costs, 2) == select_top_k(self.scores(), 2)
 
     def test_ratio_prefers_cheap_information(self):
@@ -147,7 +147,3 @@ class TestCostModel:
     def test_rejects_nonpositive_costs(self):
         with pytest.raises(ValueError):
             CostModel(np.array([1.0, 0.0]))
-
-    def test_rejects_nonpositive_budget(self):
-        with pytest.raises(ValueError):
-            CostModel(np.ones(2), budget_per_round=0.0)

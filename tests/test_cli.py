@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from activemc import harness
 from activemc.cli import cli_main
 from activemc.data_io import write_dataset
-from activemc.synthetic import labeled_lowrank
+from activemc.errors import DivergenceError
+from activemc.synthetic import labeled_lowrank, margin_labeled_lowrank
 
 
 @pytest.fixture
@@ -93,6 +95,38 @@ class TestSimulate:
         records = (out / "replicate_00.csv").read_text().strip().splitlines()
         assert len(records) == 3  # header + 2 rounds
         assert not (out / "replicate_01.csv").exists()
+
+    def test_early_stopped_replicates_reported(self, tmp_path, capsys):
+        x, y, _ = margin_labeled_lowrank(60, 10, 3, np.random.default_rng(0))
+        data = tmp_path / "margin.csv"
+        write_dataset(data, x, y)
+        config = self.config(tmp_path, str(data), strategy="poss", budget_per_round=1.0,
+                             cost_scheme="random", replicates=3, rounds=6, seed=0,
+                             poss_iterations=300)
+        out = tmp_path / "runs"
+        assert cli_main(["simulate", "--config", config, "--out", str(out)]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "simulate: replicate 1 stopped after round 1 of 6",
+            "simulate: replicate 2 stopped after round 1 of 6",
+        ]
+        assert len((out / "mean.csv").read_text().splitlines()) == 7  # header + 6 rounds
+
+    def test_divergence_names_replicate(self, tmp_path, dataset, capsys, monkeypatch):
+        real_fit = harness.fit
+        calls = []
+
+        def fit(obs, labels, cfg, warm_start=None):
+            calls.append(None)
+            if len(calls) == 5:  # replicate 1, round 2
+                raise DivergenceError("non-finite objective at inner step 7", 7)
+            return real_fit(obs, labels, cfg, warm_start=warm_start)
+
+        monkeypatch.setattr(harness, "fit", fit)
+        config = self.config(tmp_path, dataset)
+        assert cli_main(["simulate", "--config", config, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "solver diverged at iteration 7" in err
+        assert "replicate 1, round 2" in err
 
     def test_invalid_config_key(self, tmp_path, dataset, capsys):
         path = tmp_path / "plan.json"

@@ -65,6 +65,20 @@ class TestLoadDataset:
         with pytest.raises(FileNotFoundError):
             load_dataset(DatasetSpec("/nonexistent/file.csv"))
 
+    @pytest.mark.parametrize(
+        "text, label_column, where",
+        [
+            ("1,2,1\nnan,4,0\n", "last", "line 2, column 1: non-finite value 'nan'"),
+            ("1,2,1\n3,4,0\n5,-inf,1\n", "last", "line 3, column 2: non-finite value '-inf'"),
+            ("1,1,2,3\n0,4,Infinity,6\n", 0, "line 2, column 3: non-finite value 'Infinity'"),
+        ],
+        ids=["nan", "inf", "after-label"],
+    )
+    def test_non_finite_cell_reports_location(self, tmp_path, text, label_column, where):
+        path = write_text(tmp_path / "d.csv", text)
+        with pytest.raises(DatasetFormatError, match=where):
+            load_dataset(DatasetSpec(path, label_column=label_column, positive_label="1"))
+
     def test_bad_cell_reports_location(self, tmp_path):
         path = write_text(tmp_path / "d.csv", "1,2,1\n3,oops,0\n")
         with pytest.raises(DatasetFormatError, match="line 2.*column 2"):
@@ -108,11 +122,21 @@ class TestRecordWriting:
         ]
 
     def test_header_and_row_count(self, tmp_path):
+        # the file format documented in the README, pinned byte for byte
+        header = (
+            "round,cumulative_cost,queried_entries,recon_rel,recon_msq,"
+            "train_objective,test_accuracy,test_auc"
+        )
         path = tmp_path / "r.csv"
         write_records(path, self.records())
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == ",".join(RECORD_COLUMNS)
-        assert len(lines) == 3
+        lines = path.read_bytes().split(b"\n")
+        assert lines[0] == header.encode()
+        assert ",".join(RECORD_COLUMNS) == header
+        assert lines[1] == (
+            b"1,0.0000000000e+00,0,5.0000000000e-01,2.5000000000e-01,"
+            b"1.0000000000e+01,9.0000000000e-01,9.5000000000e-01"
+        )
+        assert len(lines) == 4 and lines[3] == b""
 
     def test_floats_carry_ten_significant_digits(self, tmp_path):
         path = tmp_path / "r.csv"

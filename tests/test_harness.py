@@ -3,8 +3,14 @@ import dataclasses
 import numpy as np
 import pytest
 
+from activemc import harness
 from activemc.acquisition import CostModel
-from activemc.errors import DegenerateLabelsError, DimensionMismatchError, StratificationError
+from activemc.errors import (
+    DegenerateLabelsError,
+    DimensionMismatchError,
+    DivergenceError,
+    StratificationError,
+)
 from activemc.harness import (
     ExperimentPlan,
     Oracle,
@@ -265,6 +271,37 @@ class TestRunExperiment:
         result = run_experiment(self.plan(replicates=3), x, y)
         manual = np.mean([rep[0].test_accuracy for rep in result.replicates])
         assert result.mean[0].test_accuracy == pytest.approx(manual)
+
+    def test_mean_series_keeps_rounds_of_longer_replicates(self):
+        # budget 1 under random costs: replicates without a cost-1 column
+        # can buy nothing and stop after their first round
+        x, y, _ = margin_labeled_lowrank(60, 10, 3, np.random.default_rng(0))
+        plan = ExperimentPlan(strategy="poss", budget_per_round=1.0, cost_scheme="random",
+                              replicates=3, rounds=6, poss_iterations=300, max_inner=60)
+        result = run_experiment(plan, x, y)
+        depths = [len(rep) for rep in result.replicates]
+        assert depths == [6, 1, 1]
+        assert [rec.round for rec in result.mean] == [1, 2, 3, 4, 5, 6]
+        first = np.mean([rep[0].recon_rel for rep in result.replicates])
+        assert result.mean[0].recon_rel == pytest.approx(first)
+        assert result.mean[1:] == result.replicates[0][1:]
+
+    def test_divergence_names_replicate_and_round(self, monkeypatch):
+        x, y, _ = small_dataset()
+        real_fit = harness.fit
+        calls = []
+
+        def fit(obs, labels, cfg, warm_start=None):
+            calls.append(None)
+            if len(calls) == 5:  # replicate 0 fits rounds 1-3, then replicate 1
+                raise DivergenceError("non-finite objective at inner step 7", 7)
+            return real_fit(obs, labels, cfg, warm_start=warm_start)
+
+        monkeypatch.setattr(harness, "fit", fit)
+        with pytest.raises(DivergenceError, match="replicate 1, round 2") as info:
+            run_experiment(self.plan(rounds=3, replicates=2), x, y)
+        assert info.value.iteration == 7
+        assert "inner step 7" in str(info.value)
 
     def test_requires_data_or_arrays(self):
         with pytest.raises(ValueError):

@@ -140,7 +140,7 @@ class TestAuc:
 
 class TestLabeledSplit:
     def test_valid(self):
-        split = LabeledSplit(np.zeros((3, 2)), np.array([1, -1, 1]), role="train")
+        split = LabeledSplit(np.zeros((3, 2)), np.array([1, -1, 1]))
         assert len(split) == 3
 
     def test_rejects_bad_labels(self):
@@ -150,7 +150,3 @@ class TestLabeledSplit:
     def test_rejects_length_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             LabeledSplit(np.zeros((3, 2)), np.array([1, -1]))
-
-    def test_rejects_unknown_role(self):
-        with pytest.raises(ValueError):
-            LabeledSplit(np.zeros((2, 2)), np.array([1, -1]), role="validation")

@@ -2,72 +2,7 @@ import numpy as np
 import pytest
 
 from activemc.errors import DimensionMismatchError, NumericError, UndefinedCoherenceError
-from activemc.matrix import (
-    PartialMatrix,
-    coherence,
-    frobenius_norm,
-    project_omega,
-    svd,
-    trace_norm,
-)
-
-
-class TestProjectOmega:
-    def test_full_mask_is_identity(self):
-        m = np.array([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(project_omega(m, np.ones((2, 2), bool)), m)
-
-    def test_empty_mask_is_zero(self):
-        m = np.array([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(project_omega(m, np.zeros((2, 2), bool)), np.zeros((2, 2)))
-
-    def test_entrywise(self):
-        m = np.array([[1.0, 2.0], [3.0, 4.0]])
-        mask = np.array([[True, False], [False, True]])
-        np.testing.assert_array_equal(project_omega(m, mask), [[1.0, 0.0], [0.0, 4.0]])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            project_omega(np.ones((2, 2)), np.ones((3, 2), bool))
-
-    def test_idempotent_and_contractive(self):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            m = rng.standard_normal((rng.integers(1, 8), rng.integers(1, 8)))
-            mask = rng.random(m.shape) < 0.5
-            once = project_omega(m, mask)
-            np.testing.assert_array_equal(project_omega(once, mask), once)
-            assert np.linalg.norm(once, "fro") <= np.linalg.norm(m, "fro") + 1e-15
-
-
-class TestSvd:
-    def test_identity(self):
-        np.testing.assert_allclose(svd(np.eye(3)).sigma, [1.0, 1.0, 1.0])
-
-    def test_diagonal(self):
-        np.testing.assert_allclose(svd(np.diag([3.0, 2.0, 1.0])).sigma, [3.0, 2.0, 1.0])
-
-    def test_reconstruction_and_orthonormality(self):
-        rng = np.random.default_rng(7)
-        m = rng.standard_normal((5, 4))
-        f = svd(m)
-        np.testing.assert_allclose(f.reconstruct(), m, atol=1e-8)
-        np.testing.assert_allclose(f.u.T @ f.u, np.eye(4), atol=1e-8)
-        np.testing.assert_allclose(f.v.T @ f.v, np.eye(4), atol=1e-8)
-        assert (np.diff(f.sigma) <= 1e-12).all()
-
-    def test_sign_convention(self):
-        rng = np.random.default_rng(3)
-        m = rng.standard_normal((6, 3))
-        f = svd(m)
-        for j in range(f.sigma.size):
-            pivot = np.argmax(np.abs(f.u[:, j]))
-            assert f.u[pivot, j] > 0
-
-    def test_nonfinite_rejected(self):
-        bad = np.array([[1.0, np.nan], [0.0, 1.0]])
-        with pytest.raises(NumericError):
-            svd(bad)
+from activemc.matrix import PartialMatrix, coherence, frobenius_norm, trace_norm
 
 
 class TestNorms:
@@ -89,7 +24,6 @@ class TestNorms:
         expected = np.linalg.norm(a) * np.linalg.norm(b)
         assert trace_norm(m) == pytest.approx(expected, rel=1e-10)
         assert frobenius_norm(m) == pytest.approx(expected, rel=1e-10)
-        assert svd(m).sigma[0] == pytest.approx(expected, rel=1e-10)
 
     def test_trace_dominates_frobenius(self):
         rng = np.random.default_rng(5)
