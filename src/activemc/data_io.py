@@ -8,6 +8,7 @@ ready to plot as learning curves.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
@@ -25,8 +26,9 @@ class DatasetSpec:
 
     ``label_column`` is "last", a 0-based column index, or (with a header)
     a column name. ``positive_label`` is the raw token mapped to +1, every
-    other label token maps to -1; when omitted the label column must
-    already hold -1/+1 values.
+    other label token maps to -1, except that an empty or non-finite
+    numeric token is an error; when omitted the label column must already
+    hold -1/+1 values.
     """
 
     path: str
@@ -70,12 +72,18 @@ def _parse_label(token: str, positive_label: str | None, where: str) -> int:
         return int(value)
     if token == positive_label:
         return 1
+    if not token:
+        raise DatasetFormatError(f"{where}: empty label")
     try:
-        if float(token) == float(positive_label):
-            return 1
+        value = float(token)
     except ValueError:
-        pass
-    return -1
+        return -1  # a class name other than positive_label
+    if not math.isfinite(value):
+        raise DatasetFormatError(f"{where}: non-finite label {token!r}")
+    try:
+        return 1 if value == float(positive_label) else -1
+    except ValueError:
+        return -1
 
 
 def load_dataset(spec: DatasetSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -118,7 +126,8 @@ def load_dataset(spec: DatasetSpec) -> tuple[np.ndarray, np.ndarray]:
                 raise DatasetFormatError(
                     f"{path} line {line_num}, column {j + 1}: non-numeric value {cell!r}"
                 )
-        labels.append(_parse_label(row[label_idx], spec.positive_label, f"{path} line {line_num}"))
+        labels.append(_parse_label(row[label_idx], spec.positive_label,
+                                   f"{path} line {line_num}, column {label_idx + 1}"))
         features.append(feat)
 
     x = np.asarray(features, dtype=float)

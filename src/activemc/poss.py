@@ -4,18 +4,29 @@ Candidates are missing entries with a score (to maximize) and a per-column
 cost (to minimize). Subsets are bit vectors rated on two objectives:
 j1 = minus the total score, with a +inf sentinel for the empty subset and
 for subsets costing at least twice the budget; j2 = the total cost. An
-evolutionary loop keeps an archive of mutually nondominated subsets, and
-the final answer is the best-scoring archived subset within the budget.
+evolutionary loop (POMC, after Qian, Yu & Zhou 2015 and Qian et al. 2017)
+keeps an archive of mutually nondominated subsets sorted by cost, and the
+final answer is the best-scoring archived subset within the budget.
+
+The loop draws its randomness in batches: one parent pick per child and
+standard bit mutation as a binomial flip count plus a uniform set of
+positions. A child flipping nothing is skipped; the rest are screened with
+objectives updated from the parent's by the flipped entries, and only the
+children that pass are evaluated in full and archived.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionMismatchError
+
+# Children drawn per batch of random numbers, bounding the memory of a long run.
+_CHUNK = 1024
 
 
 @dataclass
@@ -67,45 +78,49 @@ def dominates(a: Solution, b: Solution) -> bool:
     return (a.j1 <= b.j1 and a.j2 <= b.j2) and (a.j1 < b.j1 or a.j2 < b.j2)
 
 
-def mutate(bits, flip_prob: float, rng: np.random.Generator) -> np.ndarray:
-    """Flip each bit independently with probability ``flip_prob``."""
-    if not 0.0 < flip_prob <= 1.0:
-        raise ValueError("flip_prob must lie in (0, 1]")
-    b = np.asarray(bits, dtype=bool)
-    return b ^ (rng.random(b.shape) < flip_prob)
-
-
 @dataclass
 class SolutionArchive:
-    """Mutually nondominated solutions, with vectorized dominance scans."""
+    """Mutually nondominated solutions, kept sorted by ascending j2.
+
+    No member is weakly dominated by another, so j2 strictly rises and j1
+    strictly falls along the list: a dominance test is one bisection, and
+    the members a newcomer evicts form one contiguous slice.
+    """
 
     solutions: list[Solution] = field(default_factory=list)
 
     def __post_init__(self):
-        self._j1 = np.array([s.j1 for s in self.solutions])
-        self._j2 = np.array([s.j2 for s in self.solutions])
+        self.solutions = sorted(self.solutions, key=lambda s: s.j2)
+        self._j1 = [s.j1 for s in self.solutions]
+        self._j2 = [s.j2 for s in self.solutions]
+        if (any(a >= b for a, b in zip(self._j2, self._j2[1:]))
+                or any(a <= b for a, b in zip(self._j1, self._j1[1:]))):
+            raise ValueError("archived solutions must not weakly dominate each other")
 
     def __len__(self) -> int:
         return len(self.solutions)
 
-    def weakly_dominated(self, candidate: Solution) -> bool:
-        """True when some archived solution is <= the candidate in both objectives."""
-        if not self.solutions:
-            return False
-        return bool(np.any((self._j1 <= candidate.j1) & (self._j2 <= candidate.j2)))
+    def weakly_dominated(self, j1: float, j2: float) -> bool:
+        """True when some archived solution is <= (j1, j2) in both objectives."""
+        # the last member with j2 at most ``j2`` has the lowest j1 among them
+        i = bisect_right(self._j2, j2)
+        return i > 0 and self._j1[i - 1] <= j1
 
     def insert(self, candidate: Solution) -> None:
-        """Add a non-dominated candidate, evicting everything it weakly dominates."""
-        if self.solutions:
-            evict = (candidate.j1 <= self._j1) & (candidate.j2 <= self._j2)
-            if evict.any():
-                keep = ~evict
-                self.solutions = [s for s, k in zip(self.solutions, keep) if k]
-                self._j1 = self._j1[keep]
-                self._j2 = self._j2[keep]
-        self.solutions.append(candidate)
-        self._j1 = np.append(self._j1, candidate.j1)
-        self._j2 = np.append(self._j2, candidate.j2)
+        """Add a candidate no member weakly dominates, evicting what it weakly dominates."""
+        lo = hi = bisect_left(self._j2, candidate.j2)
+        while hi < len(self._j1) and self._j1[hi] >= candidate.j1:
+            hi += 1
+        self.solutions[lo:hi] = [candidate]
+        self._j1[lo:hi] = [candidate.j1]
+        self._j2[lo:hi] = [candidate.j2]
+
+    def best_within(self, budget: float) -> Solution | None:
+        """The highest-scoring member costing at most ``budget``, if any is finite."""
+        i = bisect_right(self._j2, budget) - 1
+        if i < 0 or not math.isfinite(self._j1[i]):
+            return None
+        return self.solutions[i]
 
     def mutually_nondominated(self) -> bool:
         """Full pairwise check; used by tests and debug assertions."""
@@ -125,6 +140,81 @@ def default_iterations(problem: BiObjectiveProblem) -> int:
     return max(1, math.ceil(2.0 * math.e * cardinality_cap**2 * n))
 
 
+def _draw_flips(n: int, flip_prob: float, size: int,
+                rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Flipped positions of ``size`` children under standard bit mutation.
+
+    Each child flips Binomial(n, flip_prob) bits at a uniformly drawn set of
+    distinct positions, which is the law of flipping every bit independently
+    with probability ``flip_prob``. Returns the per-child flip counts and the
+    positions, concatenated child after child.
+    """
+    counts = rng.binomial(n, flip_prob, size)
+    positions = rng.integers(n, size=int(counts.sum()))
+    # A child whose independent draws repeat a position is rejected and
+    # redrawn without replacement, which also ends when it flips all n bits.
+    keys = np.sort(np.repeat(np.arange(size), counts) * n + positions)
+    rejected = np.zeros(size, dtype=bool)
+    rejected[keys[1:][np.diff(keys) == 0] // n] = True
+    starts = np.cumsum(counts) - counts
+    for c in np.flatnonzero(rejected):
+        positions[starts[c]:starts[c] + counts[c]] = rng.choice(n, counts[c], replace=False)
+    return counts, positions
+
+
+def _evolve(problem: BiObjectiveProblem, iterations: int, rng: np.random.Generator,
+            flip_prob: float) -> SolutionArchive:
+    """Run ``iterations`` mutations from the empty subset; return the final archive.
+
+    Each child mutates a uniformly chosen archived parent. A child that
+    flips no bit equals its parent and is skipped. The others are screened
+    with objectives updated from the parent's by the flipped entries; only a
+    child that passes is evaluated from scratch and re-checked before it is
+    archived, so every archived (j1, j2) comes from a full sum. The screen
+    differs from the full sums by rounding only, so the sole children it
+    turns away wrongly lie within rounding of an archived pair or of the
+    2 * budget sentinel.
+    """
+    n = len(problem)
+    costs = problem.costs.tolist()
+    gains = problem.informativeness.tolist()
+    cap = 2.0 * problem.budget
+    archive = SolutionArchive([evaluate(problem, np.zeros(n, dtype=bool))])
+    for done in range(0, iterations, _CHUNK):
+        size = min(_CHUNK, iterations - done)
+        picks = rng.random(size).tolist()
+        counts, positions = _draw_flips(n, flip_prob, size, rng)
+        ends = np.cumsum(counts).tolist()
+        positions = positions.tolist()
+        begin = 0
+        for pick, end in zip(picks, ends):
+            flips = positions[begin:end]
+            begin = end
+            if not flips:
+                continue
+            parent = archive.solutions[int(pick * len(archive))]
+            bits = parent.bits
+            # the empty subset is the only archived one with the sentinel:
+            # any other sentinel subset costs more and is dominated by it
+            gain = 0.0 if parent.j1 == math.inf else -parent.j1
+            cost = parent.j2
+            for j in flips:
+                if bits[j]:
+                    cost -= costs[j]
+                    gain -= gains[j]
+                else:
+                    cost += costs[j]
+                    gain += gains[j]
+            if cost >= cap or archive.weakly_dominated(-gain, cost):
+                continue
+            child_bits = bits.copy()
+            child_bits[flips] ^= True
+            child = evaluate(problem, child_bits)
+            if not archive.weakly_dominated(child.j1, child.j2):
+                archive.insert(child)
+    return archive
+
+
 def poss_optimize(problem: BiObjectiveProblem, iterations: int | None = None,
                   rng: np.random.Generator | None = None,
                   flip_prob: float | None = None) -> list[tuple[int, int]]:
@@ -134,31 +224,21 @@ def poss_optimize(problem: BiObjectiveProblem, iterations: int | None = None,
     archived solution and keeps it only if nothing archived is at least as
     good in both objectives. Deterministic for a given seeded ``rng``.
     """
+    if iterations is not None and iterations < 1:
+        raise ValueError("iterations must be at least 1")
+    if flip_prob is not None and not 0.0 < flip_prob <= 1.0:
+        raise ValueError("flip_prob must lie in (0, 1]")
     n = len(problem)
     if n == 0:
         return []
     if iterations is None:
         iterations = default_iterations(problem)
-    if iterations < 1:
-        raise ValueError("iterations must be at least 1")
     if rng is None:
         rng = np.random.default_rng(0)
     if flip_prob is None:
         flip_prob = 1.0 / n
 
-    archive = SolutionArchive([evaluate(problem, np.zeros(n, dtype=bool))])
-    for _ in range(iterations):
-        parent = archive.solutions[int(rng.integers(len(archive)))]
-        child = evaluate(problem, mutate(parent.bits, flip_prob, rng))
-        if archive.weakly_dominated(child):
-            continue
-        archive.insert(child)
-
-    best: Solution | None = None
-    for sol in archive.solutions:
-        if sol.j2 <= problem.budget and math.isfinite(sol.j1):
-            if best is None or (sol.j1, sol.j2) < (best.j1, best.j2):
-                best = sol
+    best = _evolve(problem, iterations, rng, flip_prob).best_within(problem.budget)
     if best is None:
         return []
     return [problem.candidates[i] for i in np.nonzero(best.bits)[0]]

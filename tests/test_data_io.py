@@ -79,6 +79,25 @@ class TestLoadDataset:
         with pytest.raises(DatasetFormatError, match=where):
             load_dataset(DatasetSpec(path, label_column=label_column, positive_label="1"))
 
+    @pytest.mark.parametrize(
+        "label, where",
+        [
+            ("nan", "line 2, column 3: non-finite label 'nan'"),
+            ("-inf", "line 2, column 3: non-finite label '-inf'"),
+            ("", "line 2, column 3: empty label"),
+        ],
+        ids=["nan", "inf", "empty"],
+    )
+    def test_bad_label_token_reports_location(self, tmp_path, label, where):
+        path = write_text(tmp_path / "d.csv", f"1,2,1\n3,4,{label}\n5,6,0\n")
+        with pytest.raises(DatasetFormatError, match=where):
+            load_dataset(DatasetSpec(path, positive_label="1"))
+
+    def test_class_names_other_than_positive_map_to_minus_one(self, tmp_path):
+        path = write_text(tmp_path / "d.csv", "1,2,yes\n3,4,no\n5,6,maybe\n")
+        _, labels = load_dataset(DatasetSpec(path, positive_label="yes"))
+        np.testing.assert_array_equal(labels, [1, -1, -1])
+
     def test_bad_cell_reports_location(self, tmp_path):
         path = write_text(tmp_path / "d.csv", "1,2,1\n3,oops,0\n")
         with pytest.raises(DatasetFormatError, match="line 2.*column 2"):

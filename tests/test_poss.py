@@ -2,17 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from activemc.errors import DimensionMismatchError
 from activemc.poss import (
     BiObjectiveProblem,
     Solution,
     SolutionArchive,
+    _draw_flips,
+    _evolve,
     default_iterations,
     dominates,
     evaluate,
     exhaustive_optimum,
-    mutate,
     poss_optimize,
 )
 
@@ -62,27 +65,50 @@ class TestDominates:
         assert not dominates(a, b) and not dominates(b, a)
 
 
-class TestMutate:
+def child_positions(counts, positions):
+    return np.split(positions, np.cumsum(counts)[:-1])
+
+
+class TestDrawFlips:
     def test_vanishing_flip_probability_is_identity(self):
-        rng = np.random.default_rng(0)
-        bits = np.array([True, False, True, False])
-        np.testing.assert_array_equal(mutate(bits, 1e-300, rng), bits)
+        counts, positions = _draw_flips(4, 1e-300, 100, np.random.default_rng(0))
+        assert not counts.any() and positions.size == 0
 
     def test_flip_probability_one_flips_all(self):
-        rng = np.random.default_rng(1)
-        np.testing.assert_array_equal(
-            mutate(np.zeros(5, bool), 1.0, rng), np.ones(5, bool)
-        )
+        # every child flips k = n bits, so drawing distinct positions must end there
+        counts, positions = _draw_flips(5, 1.0, 3, np.random.default_rng(1))
+        np.testing.assert_array_equal(counts, [5, 5, 5])
+        for child in child_positions(counts, positions):
+            np.testing.assert_array_equal(np.sort(child), np.arange(5))
 
     def test_deterministic_under_seed(self):
-        bits = np.array([True, False, False, True, False])
-        out1 = mutate(bits, 0.4, np.random.default_rng(7))
-        out2 = mutate(bits, 0.4, np.random.default_rng(7))
-        np.testing.assert_array_equal(out1, out2)
+        a = _draw_flips(5, 0.4, 50, np.random.default_rng(7))
+        b = _draw_flips(5, 0.4, 50, np.random.default_rng(7))
+        for x, y in zip(a, b):
+            np.testing.assert_array_equal(x, y)
 
     def test_flip_probability_validated(self):
         with pytest.raises(ValueError):
-            mutate(np.zeros(3, bool), 0.0, np.random.default_rng(0))
+            _draw_flips(3, 1.5, 10, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("flip_prob", [0.3, 0.9])
+    def test_each_bit_flips_with_the_flip_probability(self, flip_prob):
+        # at 0.9 most children repeat a position and are redrawn
+        counts, positions = _draw_flips(6, flip_prob, 20000, np.random.default_rng(8))
+        frequency = np.bincount(positions, minlength=6) / 20000
+        np.testing.assert_allclose(frequency, flip_prob, atol=0.02)
+
+    @settings(max_examples=50, deadline=None)
+    @given(n=st.integers(1, 30), flip_prob=st.floats(0.01, 1.0),
+           size=st.integers(1, 200), seed=st.integers(0, 2**32 - 1))
+    def test_counts_are_binomial_draws_and_positions_distinct(self, n, flip_prob, size, seed):
+        counts, positions = _draw_flips(n, flip_prob, size, np.random.default_rng(seed))
+        np.testing.assert_array_equal(
+            counts, np.random.default_rng(seed).binomial(n, flip_prob, size)
+        )
+        for child in child_positions(counts, positions):
+            assert len(set(child.tolist())) == child.size
+            assert ((0 <= child) & (child < n)).all()
 
 
 class TestArchive:
@@ -94,14 +120,29 @@ class TestArchive:
 
     def test_incomparable_members_coexist(self):
         archive = SolutionArchive([Solution(np.array([1, 0]), -3.0, 1.0)])
-        assert not archive.weakly_dominated(Solution(np.array([0, 1]), -5.0, 2.0))
+        assert not archive.weakly_dominated(-5.0, 2.0)
         archive.insert(Solution(np.array([0, 1]), -5.0, 2.0))
         assert len(archive) == 2
         assert archive.mutually_nondominated()
 
     def test_duplicate_objectives_are_weakly_dominated(self):
         archive = SolutionArchive([Solution(np.array([1, 0]), -3.0, 1.0)])
-        assert archive.weakly_dominated(Solution(np.array([0, 1]), -3.0, 1.0))
+        assert archive.weakly_dominated(-3.0, 1.0)
+
+    def test_kept_sorted_by_cost(self):
+        archive = SolutionArchive([Solution(np.array([1, 1, 0]), -6.0, 3.0)])
+        archive.insert(Solution(np.array([1, 0, 0]), -2.0, 1.0))
+        archive.insert(Solution(np.array([0, 1, 0]), -4.0, 2.0))
+        archive.insert(Solution(np.array([0, 0, 1]), -1.0, 0.5))
+        assert [s.j2 for s in archive.solutions] == [0.5, 1.0, 2.0, 3.0]
+        # (-4.5, 1.0) evicts the members costing 1 and 2, and only those
+        archive.insert(Solution(np.array([1, 0, 1]), -4.5, 1.0))
+        assert [(s.j1, s.j2) for s in archive.solutions] == [(-1.0, 0.5), (-4.5, 1.0), (-6.0, 3.0)]
+
+    def test_dominated_members_rejected(self):
+        with pytest.raises(ValueError):
+            SolutionArchive([Solution(np.array([1, 0]), -3.0, 1.0),
+                             Solution(np.array([0, 1]), -2.0, 2.0)])
 
 
 class TestPossOptimize:
@@ -145,19 +186,12 @@ class TestPossOptimize:
         assert agree >= 18
 
     def test_archive_invariants_after_run(self):
-        # replay the optimizer loop to inspect the final archive
         rng = np.random.default_rng(4)
         gains = rng.uniform(0, 10, size=8)
         costs = rng.integers(1, 11, size=8).astype(float)
         p = small_problem(gains, costs, 0.5 * costs.sum())
 
-        archive = SolutionArchive([evaluate(p, np.zeros(8, bool))])
-        for _ in range(3000):
-            parent = archive.solutions[int(rng.integers(len(archive)))]
-            child = evaluate(p, mutate(parent.bits, 1.0 / 8, rng))
-            if archive.weakly_dominated(child):
-                continue
-            archive.insert(child)
+        archive = _evolve(p, 3000, rng, 1.0 / 8)
 
         assert archive.mutually_nondominated()
         # pareto-front cardinality bound: distinct feasible j2 values plus one
@@ -166,9 +200,45 @@ class TestPossOptimize:
         feasible = patterns.any(axis=1) & (j2 < 2 * p.budget)
         assert len(archive) <= len(set(j2[feasible])) + 1
 
+    @pytest.mark.parametrize("kwargs", [{"flip_prob": 0.0}, {"flip_prob": 1.5},
+                                        {"iterations": 0}])
+    def test_bad_settings_rejected(self, kwargs):
+        p = small_problem([1.0, 2.0], [1.0, 1.0], 1.0)
+        with pytest.raises(ValueError):
+            poss_optimize(p, rng=np.random.default_rng(0), **kwargs)
+
     def test_empty_pool(self):
         p = BiObjectiveProblem([], np.array([]), np.array([]), 1.0)
         assert poss_optimize(p, rng=np.random.default_rng(0)) == []
+
+
+problems = st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.lists(st.floats(0.0, 10.0), min_size=n, max_size=n),
+    st.lists(st.one_of(st.integers(1, 10).map(float), st.floats(0.1, 10.0)),
+             min_size=n, max_size=n),
+    st.floats(0.05, 1.5),
+)).map(lambda t: small_problem(t[0], t[1], t[2] * sum(t[1])))
+
+
+class TestEvolveProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(p=problems, iterations=st.integers(1, 400), seed=st.integers(0, 2**32 - 1),
+           flip_prob=st.one_of(st.none(), st.floats(0.05, 1.0)))
+    def test_archive_and_answer(self, p, iterations, seed, flip_prob):
+        flip_prob = flip_prob or 1.0 / len(p)
+        archive = _evolve(p, iterations, np.random.default_rng(seed), flip_prob)
+
+        assert archive.mutually_nondominated()
+        j1 = [s.j1 for s in archive.solutions]
+        j2 = [s.j2 for s in archive.solutions]
+        assert j2 == sorted(set(j2)) and j1 == sorted(set(j1), reverse=True)
+        for s in archive.solutions:
+            exact = evaluate(p, s.bits)
+            assert (s.j1, s.j2) == (exact.j1, exact.j2)
+
+        chosen = poss_optimize(p, iterations, np.random.default_rng(seed), flip_prob)
+        bits = np.isin(np.arange(len(p)), [j for _, j in chosen])
+        assert p.costs[bits].sum() <= p.budget
 
 
 class TestDefaults:
