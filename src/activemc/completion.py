@@ -11,6 +11,17 @@ matrix with the model fixed (singular value thresholding as the proximal
 step, backtracked Lipschitz estimate), then the model is refit in closed
 form on the current ``Xhat``. Every accepted update is guarded so the
 recorded objective can never increase.
+
+SVT works on the small side of the matrix: for an ``n x d`` matrix with
+``n >= d`` (a wide one is transposed in and out) it takes the
+eigendecomposition of the ``d x d`` Gram matrix ``m.T @ m``, keeps the
+right singular vectors whose singular value ``sqrt(eigenvalue)`` exceeds
+the threshold ``tau``, and rebuilds the shrunk matrix from those alone.
+The result is exact up to rounding: squaring the matrix costs precision in
+the small singular values, which are the ones thresholded away, so the
+error against an SVT built from a full SVD is about ``eps * sigma_1 / tau``
+relative. Each kept singular value comes back with the result, so the
+solver carries the trace norm of every iterate instead of recomputing it.
 """
 
 from __future__ import annotations
@@ -92,8 +103,16 @@ def _supervised_residual(x: np.ndarray, model: LinearModel, y: np.ndarray) -> np
     return x @ model.weights + model.bias - y
 
 
-def _g_value(x, obs, model, y, lambda2) -> float:
-    diff = np.where(obs.mask, x - obs.values, 0.0)
+def _masked_residual(x, obs, maskf) -> np.ndarray:
+    # unobserved cells of obs.values are zero, so scaling by the 0/1 mask
+    # leaves the residual on observed cells and zero elsewhere
+    diff = x - obs.values
+    diff *= maskf
+    return diff
+
+
+def _g_value(x, obs, maskf, model, y, lambda2) -> float:
+    diff = _masked_residual(x, obs, maskf)
     value = 0.5 * float(np.vdot(diff, diff))
     if lambda2:
         res = _supervised_residual(x, model, y)
@@ -101,12 +120,23 @@ def _g_value(x, obs, model, y, lambda2) -> float:
     return value
 
 
+def _g_value_and_grad(z, obs, maskf, model, y, lambda2) -> tuple[float, np.ndarray]:
+    """Smooth value and gradient at ``z`` from one shared residual."""
+    grad = _masked_residual(z, obs, maskf)
+    value = 0.5 * float(np.vdot(grad, grad))
+    if lambda2:
+        res = _supervised_residual(z, model, y)
+        value += lambda2 * float(res @ res)
+        grad += (2.0 * lambda2) * np.outer(res, model.weights)
+    return value, grad
+
+
 def objective(x_hat, obs: PartialMatrix, model: LinearModel, labels, cfg: CompletionConfig) -> float:
     """Full objective value at ``(x_hat, model)``."""
     x = _as_matrix(x_hat)
     y = _as_labels(labels)
     _check_shapes(x, obs, model, y)
-    value = _g_value(x, obs, model, y, cfg.lambda2)
+    value = _g_value(x, obs, obs.mask.astype(float), model, y, cfg.lambda2)
     if cfg.lambda1:
         value += cfg.lambda1 * trace_norm(x)
     return value
@@ -122,17 +152,27 @@ def grad_g(z, obs: PartialMatrix, model: LinearModel, labels, lambda2: float) ->
     zz = _as_matrix(z)
     y = _as_labels(labels)
     _check_shapes(zz, obs, model, y)
-    grad = np.where(obs.mask, zz - obs.values, 0.0)
-    if lambda2:
-        res = _supervised_residual(zz, model, y)
-        grad += (2.0 * lambda2) * np.outer(res, model.weights)
+    _, grad = _g_value_and_grad(zz, obs, obs.mask.astype(float), model, y, lambda2)
     return grad
 
 
 def _svt_with_sigma(m: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
-    shrunk = np.maximum(s - tau, 0.0)
-    return (u * shrunk) @ vh, shrunk
+    """SVT of ``m`` and its shrunk singular values, largest first.
+
+    Only the ``k`` singular values above ``tau`` survive, so the result is
+    ``m @ V_k @ diag((sigma_k - tau) / sigma_k) @ V_k.T`` with ``V_k`` and
+    ``sigma_k`` read off the eigendecomposition of the small Gram matrix.
+    """
+    if m.shape[0] < m.shape[1]:
+        out, shrunk = _svt_with_sigma(m.T, tau)
+        return out.T, shrunk
+    w, v = np.linalg.eigh(m.T @ m)  # ascending eigenvalues
+    sigma = np.sqrt(np.maximum(w, 0.0))
+    k = int(np.count_nonzero(sigma > tau))
+    # the surviving values are the last k; k == 0 gives the zero matrix
+    sigma_k, v_k = sigma[sigma.size - k:], v[:, v.shape[1] - k:]
+    out = ((m @ v_k) * ((sigma_k - tau) / sigma_k)) @ v_k.T
+    return out, np.maximum(sigma[::-1] - tau, 0.0)
 
 
 def svt(m, tau: float) -> np.ndarray:
@@ -149,11 +189,14 @@ def svt(m, tau: float) -> np.ndarray:
     return out
 
 
-def _apg(obs, model, y, cfg, warm, callback=None):
+def _apg(obs, maskf, model, y, cfg, warm, tr_warm, callback=None):
     """Accelerated proximal gradient on the matrix block, model fixed.
 
+    ``maskf`` is ``obs.mask`` as floats and ``tr_warm`` the trace norm of
+    ``warm`` (0.0 when lambda1 is 0, where no trace norm is computed).
     Returns the best iterate seen (the momentum sequence itself is not
-    monotone), its objective value, and the accepted-step count.
+    monotone), its trace norm on the same terms, and the accepted-step
+    count.
     """
     lam1, lam2 = cfg.lambda1, cfg.lambda2
     # iterates are rebound, never written in place, so one copy keeps the
@@ -162,21 +205,22 @@ def _apg(obs, model, y, cfg, warm, callback=None):
     theta_curr = theta_prev = cfg.theta0
     l = cfg.l_init
 
-    f_curr = _g_value(x_curr, obs, model, y, lam2)
-    f_curr += lam1 * trace_norm(x_curr) if lam1 else 0.0
-    best_x, best_f = x_curr, f_curr
+    f_curr = _g_value(x_curr, obs, maskf, model, y, lam2) + lam1 * tr_warm
+    best_x, best_f, best_tr = x_curr, f_curr, tr_warm
     iterations = 0
 
     for k in range(cfg.max_inner):
         beta = theta_curr * (1.0 / theta_prev - 1.0)
         z = x_curr + beta * (x_curr - x_prev)
-        gz = grad_g(z, obs, model, y, lam2)
-        g_at_z = _g_value(z, obs, model, y, lam2)
+        g_at_z, gz = _g_value_and_grad(z, obs, maskf, model, y, lam2)
 
         while True:
-            x_next, sig = _svt_with_sigma(z - gz / l, lam1 / l)
-            tr_next = float(sig.sum())
-            g_next = _g_value(x_next, obs, model, y, lam2)
+            if lam1:
+                x_next, sig = _svt_with_sigma(z - gz / l, lam1 / l)
+                tr_next = float(sig.sum())
+            else:  # the proximal map of a zero penalty is the identity
+                x_next, tr_next = z - gz / l, 0.0
+            g_next = _g_value(x_next, obs, maskf, model, y, lam2)
             diff = x_next - z
             lhs = g_next + lam1 * tr_next
             rhs = (
@@ -214,13 +258,13 @@ def _apg(obs, model, y, cfg, warm, callback=None):
         x_prev, x_curr = x_curr, x_next
 
         if f_next < best_f:
-            best_f, best_x = f_next, x_next
+            best_f, best_x, best_tr = f_next, x_next, tr_next
         rel = abs(f_curr - f_next) / max(abs(f_curr), 1e-12)
         f_curr = f_next
         if rel < cfg.tol and iterations >= min(_MIN_INNER_STEPS, cfg.max_inner):
             break
 
-    return best_x, best_f, iterations
+    return best_x, best_tr, iterations
 
 
 def apg_minimize(obs: PartialMatrix, model: LinearModel, labels, cfg: CompletionConfig,
@@ -234,18 +278,20 @@ def apg_minimize(obs: PartialMatrix, model: LinearModel, labels, cfg: Completion
     warm = _as_matrix(warm_start)
     y = _as_labels(labels)
     _check_shapes(warm, obs, model, y)
-    best_x, _, _ = _apg(obs, model, y, cfg, warm, callback=callback)
+    tr_warm = trace_norm(warm) if cfg.lambda1 else 0.0
+    best_x, _, _ = _apg(obs, obs.mask.astype(float), model, y, cfg, warm, tr_warm,
+                        callback=callback)
     return best_x
 
 
-def _solver_objective(x_hat, obs, model, y, cfg) -> float:
-    """What the alternation actually minimizes.
+def _solver_objective(x_hat, tr_hat, obs, maskf, model, y, cfg) -> float:
+    """What the alternation actually minimizes, given ``tr_hat = ||x_hat||_tr``.
 
     The model refit solves a ridge problem, so the joint objective carries
     the matching lambda2 * ridge * ||w||^2 term; without it the refit is
     not an exact block minimizer and the trace could tick upward.
     """
-    value = objective(x_hat, obs, model, y, cfg)
+    value = _g_value(x_hat, obs, maskf, model, y, cfg.lambda2) + cfg.lambda1 * tr_hat
     if cfg.lambda2:
         value += cfg.lambda2 * cfg.ridge * float(model.weights @ model.weights)
     return value
@@ -270,8 +316,12 @@ def fit(obs: PartialMatrix, labels, cfg: CompletionConfig | None = None,
     if x_hat.shape != obs.shape:
         raise DimensionMismatchError("warm start shape does not match observations")
 
+    maskf = obs.mask.astype(float)
     model = train_ridge(x_hat, y, cfg.ridge)
-    current = _solver_objective(x_hat, obs, model, y, cfg)
+    # the trace norm of x_hat is carried from here on: SVT returns it for
+    # every candidate, and a model refit leaves x_hat unchanged
+    tr_hat = trace_norm(x_hat) if cfg.lambda1 else 0.0
+    current = _solver_objective(x_hat, tr_hat, obs, maskf, model, y, cfg)
 
     trace: list[float] = []
     inner_total = 0
@@ -280,14 +330,14 @@ def fit(obs: PartialMatrix, labels, cfg: CompletionConfig | None = None,
     for _ in range(cfg.max_outer):
         previous = current
 
-        candidate, _, iters = _apg(obs, model, y, cfg, x_hat)
+        candidate, cand_tr, iters = _apg(obs, maskf, model, y, cfg, x_hat, tr_hat)
         inner_total += iters
-        cand_obj = _solver_objective(candidate, obs, model, y, cfg)
+        cand_obj = _solver_objective(candidate, cand_tr, obs, maskf, model, y, cfg)
         if cand_obj <= current:
-            x_hat, current = candidate, cand_obj
+            x_hat, tr_hat, current = candidate, cand_tr, cand_obj
 
         refit = train_ridge(x_hat, y, cfg.ridge)
-        refit_obj = _solver_objective(x_hat, obs, refit, y, cfg)
+        refit_obj = _solver_objective(x_hat, tr_hat, obs, maskf, refit, y, cfg)
         if refit_obj <= current:
             model, current = refit, refit_obj
 

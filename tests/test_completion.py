@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from activemc import completion
 from activemc.completion import (
     CompletionConfig,
+    _svt_with_sigma,
     apg_minimize,
     fit,
     grad_g,
@@ -26,6 +30,18 @@ def random_instance(rng, n=6, d=4, observed=0.6):
     y = np.where(rng.random(n) < 0.5, 1, -1)
     model = LinearModel(weights=rng.standard_normal(d), bias=rng.standard_normal())
     return x, obs, y, model
+
+
+def svt_reference(m, tau):
+    """SVT and its shrunk spectrum from a full SVD, the textbook definition."""
+    u, s, vh = np.linalg.svd(m, full_matrices=False)
+    shrunk = np.maximum(s - tau, 0.0)
+    return (u * shrunk) @ vh, shrunk
+
+
+def assert_rel_close(actual, desired, rtol):
+    scale = np.linalg.norm(desired)
+    assert np.linalg.norm(np.asarray(actual) - desired) <= rtol * scale
 
 
 class TestConfig:
@@ -131,11 +147,25 @@ class TestGradG:
         assert rel < 1e-5
 
 
+# (rows, cols, rank, seed); rank below min(rows, cols) makes it rank-deficient
+# and rank 0 the zero matrix
+matrices = st.tuples(st.integers(1, 12), st.integers(1, 12)).flatmap(
+    lambda shape: st.tuples(st.just(shape[0]), st.just(shape[1]),
+                            st.integers(0, min(shape)), st.integers(0, 2**32 - 1)))
+
+
+def build_matrix(rows, cols, rank, seed):
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-3, 3)
+    return scale * rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
+
+
 class TestSvt:
-    def test_tau_zero_is_identity(self):
-        rng = np.random.default_rng(2)
-        m = rng.standard_normal((4, 5))
-        np.testing.assert_array_equal(svt(m, 0.0), m)
+    @settings(max_examples=50, deadline=None)
+    @given(m=matrices)
+    def test_tau_zero_is_identity(self, m):
+        a = build_matrix(*m)
+        np.testing.assert_array_equal(svt(a, 0.0), a)
 
     def test_full_shrinkage(self):
         rng = np.random.default_rng(3)
@@ -164,6 +194,45 @@ class TestSvt:
                 perturbed = w + delta
                 value = tau * trace_norm(perturbed) + 0.5 * frobenius_norm(perturbed - m) ** 2
                 assert base <= value + 1e-12
+
+
+class TestSvtProperties:
+    """The Gram-eigendecomposition SVT against the full-SVD definition.
+
+    Errors are measured against ``||m||_F``: both kernels round at the scale
+    of the largest singular value, and the Gram kernel's error grows like
+    ``eps * sigma_1 / tau``, so thresholds run from 1e-3 * sigma_1 up.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=matrices, frac=st.one_of(st.floats(1e-3, 1.0), st.floats(1.0, 3.0)))
+    def test_matches_full_svd(self, m, frac):
+        a = build_matrix(*m)
+        sigma_1 = np.linalg.svd(a, compute_uv=False).max(initial=0.0)
+        tau = frac * sigma_1
+        size = np.linalg.norm(a)
+        ref, ref_shrunk = svt_reference(a, tau)
+        out, shrunk = _svt_with_sigma(a, tau)
+        assert out.shape == a.shape
+        assert np.linalg.norm(out - ref) <= 1e-9 * size
+        assert np.linalg.norm(svt(a, tau) - ref) <= 1e-9 * size
+        np.testing.assert_allclose(shrunk, ref_shrunk, rtol=0, atol=1e-9 * size)
+        assert abs(shrunk.sum() - trace_norm(out)) <= 1e-9 * size
+        if frac >= 1.001:  # tau clear above sigma_1 leaves nothing
+            np.testing.assert_array_equal(out, np.zeros_like(a))
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_threshold_a_millionth_of_sigma_1(self, transpose):
+        rng = np.random.default_rng(14)
+        u, _ = np.linalg.qr(rng.standard_normal((300, 40)))
+        v, _ = np.linalg.qr(rng.standard_normal((40, 40)))
+        a = (u * np.logspace(0, -9, 40)) @ v.T
+        a = a.T if transpose else a
+        tau = 1e-6
+        out, shrunk = _svt_with_sigma(a, tau)
+        ref, ref_shrunk = svt_reference(a, tau)
+        assert_rel_close(out, ref, 1e-9)
+        np.testing.assert_allclose(shrunk, ref_shrunk, rtol=0, atol=1e-9)
 
 
 class TestApgMinimize:
@@ -299,6 +368,73 @@ class TestFit:
         y = np.where(rng.random(8) < 0.5, 1, -1)
         result = fit(obs, y, CompletionConfig(lambda1=0.0, lambda2=0.0))
         assert result.converged
+
+    @staticmethod
+    def supervised_instance(seed, n=300, d=30):
+        rng = np.random.default_rng(seed)
+        x = lowrank_matrix(n, d, 3, rng)
+        mask = rng.random((n, d)) < 0.6
+        y = np.where(x @ rng.standard_normal(d) >= 0, 1, -1)
+        return PartialMatrix(x, mask), y
+
+    def test_carried_trace_norm_matches_recomputed_objective(self, monkeypatch):
+        obs, y = self.supervised_instance(15)
+        cfg = CompletionConfig()
+        result = fit(obs, y, cfg)
+        w = result.model.weights
+        fresh = objective(result.x_hat, obs, result.model, y, cfg)
+        fresh += cfg.lambda2 * cfg.ridge * float(w @ w)
+        assert result.objective_trace[-1] == pytest.approx(fresh, rel=1e-10, abs=0)
+
+        # the reference recomputes every SVT by full SVD and every outer
+        # objective from scratch instead of carrying trace norms
+        def fresh_objective(x_hat, tr_hat, obs, maskf, model, y, cfg):
+            w = model.weights
+            return objective(x_hat, obs, model, y, cfg) + cfg.lambda2 * cfg.ridge * float(w @ w)
+
+        monkeypatch.setattr(completion, "_svt_with_sigma", svt_reference)
+        monkeypatch.setattr(completion, "_solver_objective", fresh_objective)
+        ref = fit(obs, y, cfg)
+        assert len(ref.objective_trace) == len(result.objective_trace)
+        np.testing.assert_allclose(result.objective_trace, ref.objective_trace, rtol=1e-9, atol=0)
+        assert_rel_close(result.x_hat, ref.x_hat, 1e-9)
+
+    def test_lambda1_zero_runs_no_decomposition(self, monkeypatch):
+        obs, y = self.supervised_instance(16, n=60, d=8)
+        calls = []
+        inside_apg = [False]
+        real_apg = completion._apg
+
+        def apg(*args, **kwargs):
+            inside_apg[0] = True
+            try:
+                return real_apg(*args, **kwargs)
+            finally:
+                inside_apg[0] = False
+
+        def counted(name):
+            real = getattr(np.linalg, name)
+
+            def wrapper(*args, **kwargs):
+                if inside_apg[0]:
+                    calls.append(name)
+                return real(*args, **kwargs)
+            return wrapper
+
+        with monkeypatch.context() as patch:
+            patch.setattr(completion, "_apg", apg)
+            for name in ("eigh", "svd"):
+                patch.setattr(np.linalg, name, counted(name))
+            result = fit(obs, y, CompletionConfig(lambda1=0.0))
+        assert calls == []
+
+        # reference: a full-SVD SVT at a threshold too small to move any
+        # singular value, with a penalty too small to change the objective
+        monkeypatch.setattr(completion, "_svt_with_sigma", svt_reference)
+        ref = fit(obs, y, CompletionConfig(lambda1=1e-300))
+        np.testing.assert_allclose(result.objective_trace, ref.objective_trace, rtol=1e-9, atol=0)
+        assert_rel_close(result.x_hat, ref.x_hat, 1e-9)
+        np.testing.assert_allclose(result.model.weights, ref.model.weights, rtol=1e-9, atol=0)
 
     def test_labels_validated(self):
         obs = PartialMatrix(np.zeros((3, 2)), np.ones((3, 2), bool))
