@@ -3,7 +3,6 @@
 from .acquisition import (
     CostModel,
     InformativenessTracker,
-    ScoredEntry,
     informativeness,
     select_cost_ratio,
     select_top_k,
@@ -21,7 +20,6 @@ from .data_io import DatasetSpec, load_dataset, write_dataset, write_matrix, wri
 from .harness import (
     ExperimentPlan,
     ExperimentResult,
-    Oracle,
     RoundRecord,
     init_mask,
     make_split,
@@ -55,10 +53,8 @@ __all__ = [
     "LabeledSplit",
     "Lemma3Result",
     "LinearModel",
-    "Oracle",
     "PartialMatrix",
     "RoundRecord",
-    "ScoredEntry",
     "accuracy",
     "apg_minimize",
     "auc",

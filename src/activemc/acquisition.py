@@ -9,18 +9,11 @@ moving are the ones the solver cannot pin down, so they are worth querying.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DimensionMismatchError, PoolExhausted
 from .matrix import _as_mask, _as_matrix
-
-
-class ScoredEntry(NamedTuple):
-    row: int
-    col: int
-    score: float
 
 
 @dataclass
@@ -100,33 +93,34 @@ class InformativenessTracker:
         return np.maximum(scores, 0.0)
 
 
-def informativeness(tracker: InformativenessTracker, mask) -> list[ScoredEntry]:
-    """Scores for every currently unobserved entry."""
+def informativeness(tracker: InformativenessTracker,
+                    mask) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(rows, cols, scores)`` of every unobserved entry, in row-major order."""
     grid = tracker.score_grid()
-    msk = _as_mask(mask, grid.shape)
-    rows, cols = np.nonzero(~msk)
-    values = grid[rows, cols]
-    return [
-        ScoredEntry(int(r), int(c), float(s))
-        for r, c, s in zip(rows.tolist(), cols.tolist(), values.tolist())
-    ]
+    rows, cols = np.nonzero(~_as_mask(mask, grid.shape))
+    return rows, cols, grid[rows, cols]
 
 
-def _take_top(scored: list[tuple[float, int, int]], k: int) -> list[tuple[int, int]]:
+def rank_entries(rows, cols, keys, k: int) -> np.ndarray:
+    """Positions of the k largest keys; ties broken by (row, col) order."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    if not scored:
+    if len(keys) == 0:
         raise PoolExhausted("no unobserved entries left to select from")
-    scored.sort(key=lambda e: (-e[0], e[1], e[2]))
-    return [(r, c) for _, r, c in scored[:k]]
+    return np.lexsort((cols, rows, -keys))[:k]
 
 
-def select_top_k(scores: list[ScoredEntry], k: int) -> list[tuple[int, int]]:
-    """The k highest-scoring entries; ties broken by (row, col) order."""
-    return _take_top([(e.score, e.row, e.col) for e in scores], k)
+def _top_entries(rows, cols, keys, k: int) -> list[tuple[int, int]]:
+    top = rank_entries(rows, cols, keys, k)
+    return list(zip(rows[top].tolist(), cols[top].tolist()))
 
 
-def select_cost_ratio(scores: list[ScoredEntry], costs: CostModel, k: int) -> list[tuple[int, int]]:
-    """Top k entries by score divided by the column's acquisition cost."""
-    ranked = [(e.score / costs.column_costs[e.col], e.row, e.col) for e in scores]
-    return _take_top(ranked, k)
+def select_top_k(scored, k: int) -> list[tuple[int, int]]:
+    """The k highest-scoring entries of ``(rows, cols, scores)``."""
+    return _top_entries(*scored, k)
+
+
+def select_cost_ratio(scored, costs: CostModel, k: int) -> list[tuple[int, int]]:
+    """Top k entries of ``(rows, cols, scores)`` by score over column cost."""
+    rows, cols, scores = scored
+    return _top_entries(rows, cols, scores / costs.column_costs[cols], k)

@@ -162,6 +162,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_bench_poss(args) -> int:
+    if args.trials < 1:
+        raise ValueError("--trials must be at least 1")
+    if args.pool < 1:
+        raise ValueError("--pool must be at least 1")
     if args.pool > 20:
         raise ValueError("--pool must be at most 20 for exhaustive comparison")
     rng = np.random.default_rng(args.seed)

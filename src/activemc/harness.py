@@ -5,8 +5,9 @@ then repeats for a fixed number of rounds: fit the supervised completion
 (warm-started from the previous round), snapshot the recovered matrix for
 the variance scores, evaluate the trained model on the held-out rows, pick
 the next batch of entries by the configured strategy, and buy their true
-values from the oracle. Records carry the state *before* each round's
-purchase, so the first row of every learning curve sits at zero cost.
+values at their columns' prices. Records carry the state *before* each
+round's purchase, so the first row of every learning curve sits at zero
+cost.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .acquisition import (
     CostModel,
     InformativenessTracker,
     informativeness,
+    rank_entries,
     select_cost_ratio,
     select_top_k,
 )
@@ -39,25 +41,6 @@ STRATEGIES = ("variance", "cost_ratio", "poss", "random")
 COST_SCHEMES = ("uniform", "random")
 
 _SPLIT_RETRIES = 100
-
-
-@dataclass
-class Oracle:
-    """Holds the full ground truth and answers entry queries at column cost."""
-
-    ground_truth: np.ndarray
-    costs: CostModel
-
-    def __post_init__(self):
-        self.ground_truth = _as_matrix(self.ground_truth).copy()
-        if self.costs.column_costs.shape[0] != self.ground_truth.shape[1]:
-            raise DimensionMismatchError("cost vector length does not match columns")
-
-    def value(self, row: int, col: int) -> float:
-        return float(self.ground_truth[row, col])
-
-    def batch_cost(self, entries) -> float:
-        return float(sum(self.costs.column_costs[col] for _, col in entries))
 
 
 @dataclass
@@ -113,6 +96,10 @@ class ExperimentPlan:
             raise ValueError("window must be 0 (unbounded) or positive")
         if self.replicates < 1:
             raise ValueError("replicates must be at least 1")
+        if self.poss_pool < 1:
+            raise ValueError("poss_pool must be at least 1")
+        if self.poss_iterations < 1:
+            raise ValueError("poss_iterations must be at least 1")
 
     def completion_config(self) -> CompletionConfig:
         return CompletionConfig(
@@ -242,16 +229,15 @@ def masked_problem(features, mask, standardize: bool, *others):
     return (PartialMatrix(x_true, mask), x_true, *extra)
 
 
-def _random_batch(missing, size, rng):
-    chosen = rng.choice(len(missing), size=min(size, len(missing)), replace=False)
-    return [missing[i] for i in sorted(chosen.tolist())]
+def _random_batch(rows, cols, size, rng):
+    chosen = np.sort(rng.choice(len(rows), size=min(size, len(rows)), replace=False))
+    return list(zip(rows[chosen].tolist(), cols[chosen].tolist()))
 
 
-def _random_within_budget(missing, costs, budget, rng):
-    order = rng.permutation(len(missing))
+def _random_within_budget(rows, cols, costs, budget, rng):
+    order = rng.permutation(len(rows))
     picked, spent = [], 0.0
-    for i in order.tolist():
-        row, col = missing[i]
+    for row, col in zip(rows[order].tolist(), cols[order].tolist()):
         price = float(costs.column_costs[col])
         if spent + price <= budget:
             picked.append((row, col))
@@ -262,19 +248,19 @@ def _random_within_budget(missing, costs, budget, rng):
 def _select_batch(plan: ExperimentPlan, tracker: InformativenessTracker,
                   obs: PartialMatrix, costs: CostModel,
                   rng: np.random.Generator) -> list[tuple[int, int]]:
-    missing = obs.missing_indices()
-    if not missing:
+    rows, cols = np.nonzero(~obs.mask)
+    if rows.size == 0:
         raise PoolExhausted("every entry is observed")
 
     if plan.strategy == "random":
-        return _random_batch(missing, plan.batch_size, rng)
+        return _random_batch(rows, cols, plan.batch_size, rng)
 
     # Variance scores need at least two snapshots; before that, fall back
     # to random selection among the missing entries.
     if tracker.retained < 2:
         if plan.strategy == "poss":
-            return _random_within_budget(missing, costs, plan.budget_per_round, rng)
-        return _random_batch(missing, plan.batch_size, rng)
+            return _random_within_budget(rows, cols, costs, plan.budget_per_round, rng)
+        return _random_batch(rows, cols, plan.batch_size, rng)
 
     scored = informativeness(tracker, obs.mask)
     if plan.strategy == "variance":
@@ -284,11 +270,12 @@ def _select_batch(plan: ExperimentPlan, tracker: InformativenessTracker,
 
     # poss: restrict the pool to the highest-variance entries so the bit
     # vectors stay short, then optimize the batch under the round budget.
-    pool = sorted(scored, key=lambda e: (-e.score, e.row, e.col))[: plan.poss_pool]
+    rows, cols, scores = scored
+    pool = rank_entries(rows, cols, scores, plan.poss_pool)
     problem = BiObjectiveProblem(
-        candidates=[(e.row, e.col) for e in pool],
-        informativeness=[e.score for e in pool],
-        costs=[costs.column_costs[e.col] for e in pool],
+        candidates=list(zip(rows[pool].tolist(), cols[pool].tolist())),
+        informativeness=scores[pool],
+        costs=costs.column_costs[cols[pool]],
         budget=plan.budget_per_round,
     )
     return poss_optimize(problem, iterations=plan.poss_iterations, rng=rng)
@@ -315,7 +302,6 @@ def run_replicate(plan: ExperimentPlan, features: np.ndarray, labels: np.ndarray
     costs = CostModel(column_costs)
 
     obs, x_true, test_x = masked_problem(train.features, mask, plan.standardize, test.features)
-    oracle = Oracle(x_true, costs)
     tracker = InformativenessTracker(plan.window)
     cfg = plan.completion_config()
     select_rng = np.random.default_rng(select_ss)
@@ -358,8 +344,8 @@ def run_replicate(plan: ExperimentPlan, features: np.ndarray, labels: np.ndarray
             # nothing affordable this round; further rounds would stall too
             break
         for row, col in batch:
-            obs.observe(row, col, oracle.value(row, col))
-        cumulative_cost += oracle.batch_cost(batch)
+            obs.observe(row, col, x_true[row, col])
+        cumulative_cost += float(sum(costs.column_costs[col] for _, col in batch))
         queried += len(batch)
         queries.append(batch)
 

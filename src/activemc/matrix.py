@@ -73,11 +73,6 @@ class PartialMatrix:
     def observed_count(self) -> int:
         return int(self.mask.sum())
 
-    def missing_indices(self) -> list[tuple[int, int]]:
-        """Row-major list of unobserved (row, col) positions."""
-        rows, cols = np.nonzero(~self.mask)
-        return list(zip(rows.tolist(), cols.tolist()))
-
     def observe(self, row: int, col: int, value: float) -> None:
         """Reveal one cell. Raises if the cell is already observed."""
         if self.mask[row, col]:

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from activemc.acquisition import (
     CostModel,
     InformativenessTracker,
-    ScoredEntry,
     informativeness,
     select_cost_ratio,
     select_top_k,
@@ -85,25 +86,59 @@ class TestTracker:
         assert (t.score_grid() >= 0).all()
 
 
+class TestTrackerProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(window=st.integers(0, 5),
+           values=st.lists(st.lists(st.floats(-10, 10), min_size=2, max_size=2),
+                           min_size=1, max_size=12))
+    def test_window_arithmetic_matches_two_pass(self, window, values):
+        t = InformativenessTracker(window=window)
+        for v in values:
+            t.record_snapshot(np.array([v]))
+        seen = len(values)
+        assert t.retained == min(seen, window or seen)
+        kept = np.array(values[-t.retained:])
+        expected = ((kept - kept.mean(axis=0)) ** 2).sum(axis=0) if len(kept) > 1 else 0.0
+        # the running sums lose precision as offset^2 / spread^2 grows, so
+        # the tolerance scales with the values retained
+        tol = 1e-9 * t.retained * np.abs(kept).max() ** 2
+        np.testing.assert_allclose(t.score_grid()[0], expected, rtol=0, atol=tol)
+
+
 class TestInformativeness:
     def test_all_observed_yields_empty(self):
         t = InformativenessTracker()
         t.record_snapshot(np.ones((2, 2)))
         t.record_snapshot(np.zeros((2, 2)))
-        assert informativeness(t, np.ones((2, 2), bool)) == []
+        rows, cols, scores = informativeness(t, np.ones((2, 2), bool))
+        assert rows.size == cols.size == scores.size == 0
 
     def test_excludes_observed_entries(self):
         t = InformativenessTracker()
         t.record_snapshot(np.array([[0.0, 0.0]]))
         t.record_snapshot(np.array([[2.0, 2.0]]))
         mask = np.array([[True, False]])
-        scored = informativeness(t, mask)
-        assert scored == [ScoredEntry(0, 1, 2.0)]
+        rows, cols, scores = informativeness(t, mask)
+        assert (rows.tolist(), cols.tolist(), scores.tolist()) == ([0], [1], [2.0])
+
+    def test_row_major_order(self):
+        t = InformativenessTracker()
+        t.record_snapshot(np.zeros((2, 3)))
+        t.record_snapshot(np.arange(6.0).reshape(2, 3))
+        mask = np.array([[True, False, False], [False, True, False]])
+        rows, cols, _ = informativeness(t, mask)
+        assert list(zip(rows.tolist(), cols.tolist())) == [(0, 1), (0, 2), (1, 0), (1, 2)]
+
+
+def entries(*triples):
+    """``(rows, cols, scores)`` arrays from (row, col, score) triples."""
+    rows, cols, scores = zip(*triples) if triples else ((), (), ())
+    return np.array(rows, int), np.array(cols, int), np.array(scores, float)
 
 
 class TestSelection:
     def scores(self):
-        return [ScoredEntry(0, 0, 5.0), ScoredEntry(1, 1, 9.0), ScoredEntry(2, 0, 7.0)]
+        return entries((0, 0, 5.0), (1, 1, 9.0), (2, 0, 7.0))
 
     def test_unique_maximum(self):
         assert select_top_k(self.scores(), 1) == [(1, 1)]
@@ -112,7 +147,7 @@ class TestSelection:
         assert select_top_k(self.scores(), 2) == [(1, 1), (2, 0)]
 
     def test_ties_break_lexicographically(self):
-        tied = [ScoredEntry(1, 1, 3.0), ScoredEntry(0, 1, 3.0), ScoredEntry(0, 0, 3.0)]
+        tied = entries((1, 1, 3.0), (0, 1, 3.0), (0, 0, 3.0))
         assert select_top_k(tied, 2) == [(0, 0), (0, 1)]
 
     def test_short_pool_returns_all(self):
@@ -120,7 +155,7 @@ class TestSelection:
 
     def test_empty_pool_signals_exhaustion(self):
         with pytest.raises(PoolExhausted):
-            select_top_k([], 1)
+            select_top_k(entries(), 1)
 
     def test_k_validated(self):
         with pytest.raises(ValueError):
@@ -131,16 +166,62 @@ class TestSelection:
         assert select_cost_ratio(self.scores(), costs, 2) == select_top_k(self.scores(), 2)
 
     def test_ratio_prefers_cheap_information(self):
-        scored = [ScoredEntry(0, 0, 4.0), ScoredEntry(0, 1, 3.0)]
+        scored = entries((0, 0, 4.0), (0, 1, 3.0))
         costs = CostModel(np.array([4.0, 1.0]))
         assert select_cost_ratio(scored, costs, 1) == [(0, 1)]
 
     def test_cost_doubling_leaves_selection_unchanged(self):
         rng = np.random.default_rng(4)
-        scored = [ScoredEntry(i, j, float(rng.uniform(0, 5))) for i in range(4) for j in range(3)]
+        scored = entries(*[(i, j, float(rng.uniform(0, 5))) for i in range(4) for j in range(3)])
         base = CostModel(rng.integers(1, 10, size=3).astype(float))
         doubled = CostModel(2.0 * base.column_costs)
         assert select_cost_ratio(scored, base, 5) == select_cost_ratio(scored, doubled, 5)
+
+    def test_selected_entries_are_python_ints(self):
+        picked = select_top_k(self.scores(), 3) + select_cost_ratio(
+            self.scores(), CostModel(np.ones(2)), 3)
+        assert all(type(r) is int and type(c) is int for r, c in picked)
+
+
+def reference_top(triples, keys, k):
+    """The ranking rule spelled out: descending key, then row, then column."""
+    ranked = sorted(zip(keys, triples), key=lambda e: (-e[0], e[1][0], e[1][1]))
+    return [(r, c) for _, (r, c, _) in ranked[:k]]
+
+
+@st.composite
+def scored_grids(draw):
+    """Distinct (row, col, score) triples on a small grid, in shuffled order.
+
+    Scores come from a handful of values so that ties are common.
+    """
+    n_rows, n_cols = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    cells = draw(st.lists(st.tuples(st.integers(0, n_rows - 1), st.integers(0, n_cols - 1)),
+                          min_size=1, max_size=n_rows * n_cols, unique=True))
+    levels = draw(st.lists(st.floats(0, 10), min_size=1, max_size=3))
+    scores = draw(st.lists(st.sampled_from(levels), min_size=len(cells), max_size=len(cells)))
+    triples = [(r, c, s) for (r, c), s in zip(cells, scores)]
+    return draw(st.permutations(triples)), n_cols
+
+
+class TestRankingProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(grid=scored_grids(), k=st.integers(1, 25))
+    def test_top_k_matches_reference(self, grid, k):
+        triples, _ = grid
+        expected = reference_top(triples, [s for _, _, s in triples], k)
+        assert select_top_k(entries(*triples), k) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(grid=scored_grids(), k=st.integers(1, 25), data=st.data())
+    def test_cost_ratio_matches_reference(self, grid, k, data):
+        triples, n_cols = grid
+        prices = data.draw(st.lists(st.sampled_from([1.0, 2.0, 4.0, 0.5]),
+                                    min_size=n_cols, max_size=n_cols))
+        costs = CostModel(np.array(prices))
+        keys = [s / costs.column_costs[c] for _, c, s in triples]
+        expected = reference_top(triples, keys, k)
+        assert select_cost_ratio(entries(*triples), costs, k) == expected
 
 
 class TestCostModel:

@@ -148,6 +148,14 @@ class TestSmallCommands:
     def test_bench_poss_pool_capped(self, capsys):
         assert cli_main(["bench-poss", "--pool", "30", "--trials", "1"]) != 0
 
+    @pytest.mark.parametrize("args,message", [
+        (["--trials", "0"], "--trials must be at least 1"),
+        (["--pool", "0"], "--pool must be at least 1"),
+    ], ids=["trials", "pool"])
+    def test_bench_poss_bad_counts_rejected(self, capsys, args, message):
+        assert cli_main(["bench-poss", *args]) == 1
+        assert capsys.readouterr().err.strip() == f"error: {message}"
+
     def test_bench_poss_reference_run_agrees(self, capsys):
         assert cli_main(["bench-poss", "--pool", "10", "--trials", "100", "--seed", "3"]) == 0
         line = capsys.readouterr().out.strip()

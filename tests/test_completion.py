@@ -352,7 +352,7 @@ class TestFit:
             first = fit(obs, y, cfg)
 
             grown = obs.copy()
-            hidden = grown.missing_indices()
+            hidden = np.argwhere(~grown.mask)
             for idx in rng.choice(len(hidden), size=min(10, len(hidden)), replace=False):
                 i, j = hidden[idx]
                 grown.observe(i, j, x[i, j])

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from activemc import harness
-from activemc.acquisition import CostModel
 from activemc.errors import (
     DegenerateLabelsError,
     DimensionMismatchError,
@@ -13,7 +12,6 @@ from activemc.errors import (
 )
 from activemc.harness import (
     ExperimentPlan,
-    Oracle,
     init_mask,
     make_split,
     observed_column_stats,
@@ -100,18 +98,6 @@ class TestReconstructionErrors:
             reconstruction_errors(np.zeros((2, 2)), np.zeros((3, 2)))
 
 
-class TestOracle:
-    def test_answers_exact_entries(self):
-        truth = np.arange(12.0).reshape(3, 4)
-        oracle = Oracle(truth, CostModel(np.ones(4)))
-        assert oracle.value(1, 2) == truth[1, 2]
-        assert oracle.batch_cost([(0, 0), (2, 3)]) == 2.0
-
-    def test_cost_width_checked(self):
-        with pytest.raises(DimensionMismatchError):
-            Oracle(np.zeros((2, 3)), CostModel(np.ones(2)))
-
-
 class TestObservedColumnStats:
     def test_uses_only_observed_cells(self):
         values = np.array([[1.0, 10.0], [3.0, 20.0], [5.0, 99.0]])
@@ -143,6 +129,10 @@ class TestPlan:
             {"batch_size": 0},
             {"replicates": 0},
             {"window": -1},
+            {"poss_pool": 0},
+            {"poss_pool": -5},
+            {"poss_iterations": 0},
+            {"poss_iterations": -1},
         ],
     )
     def test_invalid_rejected(self, kwargs):

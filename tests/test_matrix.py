@@ -82,11 +82,6 @@ class TestPartialMatrix:
         with pytest.raises(ValueError):
             pm.observe(0, 1, 6.0)
 
-    def test_missing_indices_row_major(self):
-        mask = np.array([[True, False], [False, True]])
-        pm = PartialMatrix(np.ones((2, 2)), mask)
-        assert pm.missing_indices() == [(0, 1), (1, 0)]
-
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             PartialMatrix(np.ones((2, 2)), np.ones((2, 3), bool))
