@@ -31,12 +31,13 @@ class CostModel:
 
 
 class InformativenessTracker:
-    """Streaming per-entry variance statistics over completion snapshots.
+    """Per-entry variance statistics over completion snapshots.
 
     window == 0 keeps running sums over every snapshot ever recorded;
-    window == m > 0 keeps a ring of the last m snapshots and subtracts
-    evicted values from the sums, so both modes share one arithmetic path
-    (they agree exactly while nothing has been evicted).
+    window == m > 0 keeps a ring of the last m snapshots and sums it when
+    scored, so a large evicted value cannot swamp the small ones retained.
+    Before any eviction the ring is summed in snapshot order, so both modes
+    agree exactly.
     """
 
     def __init__(self, window: int = 0):
@@ -60,25 +61,21 @@ class InformativenessTracker:
         x = _as_matrix(x_hat)
         if self._shape is None:
             self._shape = x.shape
-            self._sum = np.zeros(x.shape)
-            self._sumsq = np.zeros(x.shape)
             if self.window > 0:
                 self._ring = np.zeros((self.window,) + x.shape)
+            else:
+                self._sum = np.zeros(x.shape)
+                self._sumsq = np.zeros(x.shape)
         elif x.shape != self._shape:
             raise DimensionMismatchError(
                 f"snapshot shape {x.shape} changed from {self._shape}"
             )
 
-        if self.window > 0 and self.snapshots_seen >= self.window:
-            slot = self.snapshots_seen % self.window
-            evicted = self._ring[slot]
-            self._sum -= evicted
-            self._sumsq -= evicted * evicted
         if self.window > 0:
             self._ring[self.snapshots_seen % self.window] = x
-
-        self._sum += x
-        self._sumsq += x * x
+        else:
+            self._sum += x
+            self._sumsq += x * x
         self.snapshots_seen += 1
         return self
 
@@ -89,7 +86,12 @@ class InformativenessTracker:
         count = self.retained
         if count < 2:
             return np.zeros(self._shape)
-        scores = self._sumsq - (self._sum * self._sum) / count
+        if self.window > 0:
+            kept = self._ring[:count]
+            total, total_sq = kept.sum(axis=0), (kept * kept).sum(axis=0)
+        else:
+            total, total_sq = self._sum, self._sumsq
+        scores = total_sq - (total * total) / count
         return np.maximum(scores, 0.0)
 
 

@@ -3,7 +3,7 @@
 The solver minimizes
 
     0.5 * ||P_obs(Xhat - X)||_F^2  +  lambda1 * ||Xhat||_tr
-                                   +  lambda2 * ||Xhat @ w + b - y||^2
+        +  lambda2 * (||Xhat @ w + b - y||^2  +  ridge * ||w||^2)
 
 jointly over the recovered matrix ``Xhat`` and the linear model ``(w, b)``
 by block alternation: an accelerated proximal gradient pass updates the
@@ -38,25 +38,26 @@ from .matrix import PartialMatrix, _as_matrix, trace_norm
 # Momentum needs a few steps before the objective-change signal means
 # anything; the inner loop never stops on tolerance before this many.
 _MIN_INNER_STEPS = 10
+# The backtracked Lipschitz estimate starts at _L_INIT and is multiplied by
+# _GAMMA until the majorization holds; momentum starts at theta = _THETA0.
+_L_INIT = 1.1
+_GAMMA = 2.0
+_THETA0 = 1.0
 
 
 @dataclass(frozen=True)
 class CompletionConfig:
     """Solver hyperparameters.
 
-    lambda1 weights the trace-norm penalty, lambda2 the supervised loss.
-    l_init/gamma drive the backtracked Lipschitz estimate, theta0 seeds the
-    momentum sequence, and ridge regularizes the inner model refit. Keep
-    ridge well above zero: recovered matrices carry a small-singular-value
-    tail, and a near-unregularized refit will interpolate the labels
-    through it, inflating the weights and degrading the completion.
+    lambda1 weights the trace-norm penalty, lambda2 the supervised loss,
+    and ridge regularizes the inner model refit. Keep ridge well above
+    zero: recovered matrices carry a small-singular-value tail, and a
+    near-unregularized refit will interpolate the labels through it,
+    inflating the weights and degrading the completion.
     """
 
     lambda1: float = 1.0
     lambda2: float = 1.0
-    l_init: float = 1.1
-    gamma: float = 2.0
-    theta0: float = 1.0
     max_outer: int = 10
     max_inner: int = 300
     tol: float = 1e-6
@@ -65,12 +66,6 @@ class CompletionConfig:
     def __post_init__(self):
         if self.lambda1 < 0 or self.lambda2 < 0:
             raise ValueError("lambda1 and lambda2 must be nonnegative")
-        if self.l_init <= 1.0:
-            raise ValueError("l_init must exceed 1")
-        if self.gamma <= 1.0:
-            raise ValueError("gamma must exceed 1")
-        if not 0.0 < self.theta0 <= 1.0:
-            raise ValueError("theta0 must lie in (0, 1]")
         if self.max_outer < 1 or self.max_inner < 1:
             raise ValueError("iteration limits must be at least 1")
         if self.tol <= 0:
@@ -132,14 +127,12 @@ def _g_value_and_grad(z, obs, maskf, model, y, lambda2) -> tuple[float, np.ndarr
 
 
 def objective(x_hat, obs: PartialMatrix, model: LinearModel, labels, cfg: CompletionConfig) -> float:
-    """Full objective value at ``(x_hat, model)``."""
+    """Full objective value at ``(x_hat, model)``, the value ``fit`` records."""
     x = _as_matrix(x_hat)
     y = _as_labels(labels)
     _check_shapes(x, obs, model, y)
-    value = _g_value(x, obs, obs.mask.astype(float), model, y, cfg.lambda2)
-    if cfg.lambda1:
-        value += cfg.lambda1 * trace_norm(x)
-    return value
+    tr = trace_norm(x) if cfg.lambda1 else 0.0
+    return _solver_objective(x, tr, obs, obs.mask.astype(float), model, y, cfg)
 
 
 def grad_g(z, obs: PartialMatrix, model: LinearModel, labels, lambda2: float) -> np.ndarray:
@@ -202,8 +195,8 @@ def _apg(obs, maskf, model, y, cfg, warm, tr_warm, callback=None):
     # iterates are rebound, never written in place, so one copy keeps the
     # caller's array out of the result
     x_curr = x_prev = warm.copy()
-    theta_curr = theta_prev = cfg.theta0
-    l = cfg.l_init
+    theta_curr = theta_prev = _THETA0
+    l = _L_INIT
 
     f_curr = _g_value(x_curr, obs, maskf, model, y, lam2) + lam1 * tr_warm
     best_x, best_f, best_tr = x_curr, f_curr, tr_warm
@@ -235,7 +228,7 @@ def _apg(obs, maskf, model, y, cfg, warm, tr_warm, callback=None):
                 )
             if lhs <= rhs:
                 break
-            l *= cfg.gamma
+            l *= _GAMMA
 
         f_next = g_next + lam1 * tr_next
         if not np.isfinite(f_next):

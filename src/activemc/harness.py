@@ -12,8 +12,7 @@ cost.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, astuple, dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -110,13 +109,6 @@ class ExperimentPlan:
             max_outer=self.max_outer,
             ridge=self.ridge,
         )
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentPlan":
-        return cls(**json.loads(text))
 
 
 @dataclass
@@ -248,16 +240,13 @@ def _random_within_budget(rows, cols, costs, budget, rng):
 def _select_batch(plan: ExperimentPlan, tracker: InformativenessTracker,
                   obs: PartialMatrix, costs: CostModel,
                   rng: np.random.Generator) -> list[tuple[int, int]]:
-    rows, cols = np.nonzero(~obs.mask)
-    if rows.size == 0:
+    if obs.mask.all():
         raise PoolExhausted("every entry is observed")
 
-    if plan.strategy == "random":
-        return _random_batch(rows, cols, plan.batch_size, rng)
-
-    # Variance scores need at least two snapshots; before that, fall back
-    # to random selection among the missing entries.
-    if tracker.retained < 2:
+    # Random picks among the missing entries; so do the scored strategies
+    # until the tracker holds the two snapshots variance scores need.
+    if plan.strategy == "random" or tracker.retained < 2:
+        rows, cols = np.nonzero(~obs.mask)
         if plan.strategy == "poss":
             return _random_within_budget(rows, cols, costs, plan.budget_per_round, rng)
         return _random_batch(rows, cols, plan.batch_size, rng)

@@ -70,9 +70,6 @@ class PartialMatrix:
     def shape(self) -> tuple[int, int]:
         return self.values.shape
 
-    def observed_count(self) -> int:
-        return int(self.mask.sum())
-
     def observe(self, row: int, col: int, value: float) -> None:
         """Reveal one cell. Raises if the cell is already observed."""
         if self.mask[row, col]:

@@ -215,30 +215,25 @@ def _evolve(problem: BiObjectiveProblem, iterations: int, rng: np.random.Generat
     return archive
 
 
-def poss_optimize(problem: BiObjectiveProblem, iterations: int | None = None,
-                  rng: np.random.Generator | None = None,
-                  flip_prob: float | None = None) -> list[tuple[int, int]]:
+def poss_optimize(problem: BiObjectiveProblem, iterations: int | None = None, *,
+                  rng: np.random.Generator) -> list[tuple[int, int]]:
     """Evolve the archive, then return the best in-budget subset's entries.
 
     Starts from the empty subset; each iteration mutates a uniformly chosen
-    archived solution and keeps it only if nothing archived is at least as
-    good in both objectives. Deterministic for a given seeded ``rng``.
+    archived solution, flipping each bit with probability 1/n, and keeps it
+    only if nothing archived is at least as good in both objectives.
+    ``iterations`` defaults to ``default_iterations(problem)``.
+    Deterministic for a given seeded ``rng``.
     """
     if iterations is not None and iterations < 1:
         raise ValueError("iterations must be at least 1")
-    if flip_prob is not None and not 0.0 < flip_prob <= 1.0:
-        raise ValueError("flip_prob must lie in (0, 1]")
     n = len(problem)
     if n == 0:
         return []
     if iterations is None:
         iterations = default_iterations(problem)
-    if rng is None:
-        rng = np.random.default_rng(0)
-    if flip_prob is None:
-        flip_prob = 1.0 / n
 
-    best = _evolve(problem, iterations, rng, flip_prob).best_within(problem.budget)
+    best = _evolve(problem, iterations, rng, 1.0 / n).best_within(problem.budget)
     if best is None:
         return []
     return [problem.candidates[i] for i in np.nonzero(best.bits)[0]]

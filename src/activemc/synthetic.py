@@ -6,25 +6,15 @@ import numpy as np
 
 from .errors import DegenerateLabelsError
 
+# labeled_lowrank gives up after this many one-class draws.
+_MAX_TRIES = 50
 
-def lowrank_matrix(n: int, d: int, rank: int, rng: np.random.Generator,
-                   spectrum=None) -> np.ndarray:
-    """Exactly rank-``rank`` Gaussian matrix.
 
-    Without ``spectrum`` this is a product of two Gaussian factors. With a
-    spectrum it is built from orthonormalized factors so the singular
-    values equal the requested profile.
-    """
+def lowrank_matrix(n: int, d: int, rank: int, rng: np.random.Generator) -> np.ndarray:
+    """Exactly rank-``rank`` product of two Gaussian factors."""
     if not 1 <= rank <= min(n, d):
         raise ValueError("rank must lie in [1, min(n, d)]")
-    if spectrum is None:
-        return rng.standard_normal((n, rank)) @ rng.standard_normal((rank, d))
-    s = np.asarray(spectrum, dtype=float)
-    if s.shape != (rank,):
-        raise ValueError("spectrum length must equal the rank")
-    u, _ = np.linalg.qr(rng.standard_normal((n, rank)))
-    v, _ = np.linalg.qr(rng.standard_normal((d, rank)))
-    return (u * s) @ v.T
+    return rng.standard_normal((n, rank)) @ rng.standard_normal((rank, d))
 
 
 def sign_labels(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -61,26 +51,16 @@ def margin_labeled_lowrank(n: int, d: int, rank: int, rng: np.random.Generator,
     return x, sign_labels(x, w), w
 
 
-def labeled_lowrank(n: int, d: int, rank: int, rng: np.random.Generator,
-                    align: str = "random", spectrum=None,
-                    max_tries: int = 50) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A low-rank matrix with linearly realizable two-class labels.
+def labeled_lowrank(n: int, d: int, rank: int,
+                    rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A low-rank matrix with labels from a random unit weight vector.
 
-    align = "random" draws a unit weight vector; align = "weakest" uses the
-    right singular vector of the smallest retained singular value, so the
-    labels carry information about the direction a shrinkage-based solver
-    recovers worst. Resamples until both classes appear.
+    Resamples the matrix and the weights until both classes appear.
     """
-    if align not in ("random", "weakest"):
-        raise ValueError(f"unknown alignment {align!r}")
-    for _ in range(max_tries):
-        x = lowrank_matrix(n, d, rank, rng, spectrum=spectrum)
-        if align == "weakest":
-            _, _, vh = np.linalg.svd(x, full_matrices=False)
-            w = vh[rank - 1, :]
-        else:
-            w = rng.standard_normal(d)
-            w /= np.linalg.norm(w)
+    for _ in range(_MAX_TRIES):
+        x = lowrank_matrix(n, d, rank, rng)
+        w = rng.standard_normal(d)
+        w /= np.linalg.norm(w)
         y = sign_labels(x, w)
         if y.min() == -1 and y.max() == 1:
             return x, y, w

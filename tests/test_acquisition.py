@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from activemc.acquisition import (
@@ -91,6 +91,10 @@ class TestTrackerProperties:
     @given(window=st.integers(0, 5),
            values=st.lists(st.lists(st.floats(-10, 10), min_size=2, max_size=2),
                            min_size=1, max_size=12))
+    # a tiny retained value under a large evicted one
+    @example(window=2, values=[[1.0, 0.0], [6.5196366863856086e-46, 0.0], [0.0, 0.0]])
+    # a variance whose square underflows to a subnormal
+    @example(window=0, values=[[0.0, 0.0], [0.0, 1.3837e-160]])
     def test_window_arithmetic_matches_two_pass(self, window, values):
         t = InformativenessTracker(window=window)
         for v in values:
@@ -99,9 +103,11 @@ class TestTrackerProperties:
         assert t.retained == min(seen, window or seen)
         kept = np.array(values[-t.retained:])
         expected = ((kept - kept.mean(axis=0)) ** 2).sum(axis=0) if len(kept) > 1 else 0.0
-        # the running sums lose precision as offset^2 / spread^2 grows, so
-        # the tolerance scales with the values retained
-        tol = 1e-9 * t.retained * np.abs(kept).max() ** 2
+        # the sums lose precision as offset^2 / spread^2 grows, so the
+        # tolerance scales with the values retained; squares of tiny values
+        # are subnormal, where one rounding is a whole subnormal step
+        tol = max(1e-9 * t.retained * np.abs(kept).max() ** 2,
+                  4 * t.retained * np.finfo(float).smallest_subnormal)
         np.testing.assert_allclose(t.score_grid()[0], expected, rtol=0, atol=tol)
 
 

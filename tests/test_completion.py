@@ -48,20 +48,19 @@ class TestConfig:
     def test_defaults_valid(self):
         cfg = CompletionConfig()
         assert cfg.lambda1 == 1.0 and cfg.lambda2 == 1.0
-        assert cfg.l_init > 1 and cfg.gamma > 1
+        # the backtracking rule needs a growing estimate and theta in (0, 1]
+        assert completion._L_INIT > 1 and completion._GAMMA > 1
+        assert 0 < completion._THETA0 <= 1
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"lambda1": -0.1},
             {"lambda2": -1.0},
-            {"l_init": 1.0},
-            {"gamma": 0.9},
-            {"theta0": 0.0},
-            {"theta0": 1.5},
             {"tol": 0.0},
             {"max_inner": 0},
             {"ridge": -1.0},
+            {"max_outer": 0},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -281,7 +280,7 @@ class TestApgMinimize:
         def check(info):
             seen.append(info["iteration"])
             assert info["majorization_lhs"] <= info["majorization_rhs"] + 1e-12
-            assert info["l"] >= cfg.l_init
+            assert info["l"] >= completion._L_INIT
 
         apg_minimize(obs, model, y, cfg, warm_start=obs.values.copy(), callback=check)
         assert len(seen) > 0
@@ -377,20 +376,29 @@ class TestFit:
         y = np.where(x @ rng.standard_normal(d) >= 0, 1, -1)
         return PartialMatrix(x, mask), y
 
+    @pytest.mark.parametrize("ridge", [1.0, 3.0])
+    def test_objective_equals_recorded_value(self, ridge):
+        obs, y = self.supervised_instance(17, n=60, d=8)
+        cfg = CompletionConfig(lambda2=1.0, ridge=ridge)
+        result = fit(obs, y, cfg)
+        assert np.linalg.norm(result.model.weights) > 0
+        value = objective(result.x_hat, obs, result.model, y, cfg)
+        assert value == pytest.approx(result.objective_trace[-1], rel=1e-10, abs=0)
+
     def test_carried_trace_norm_matches_recomputed_objective(self, monkeypatch):
         obs, y = self.supervised_instance(15)
         cfg = CompletionConfig()
         result = fit(obs, y, cfg)
-        w = result.model.weights
         fresh = objective(result.x_hat, obs, result.model, y, cfg)
-        fresh += cfg.lambda2 * cfg.ridge * float(w @ w)
         assert result.objective_trace[-1] == pytest.approx(fresh, rel=1e-10, abs=0)
 
         # the reference recomputes every SVT by full SVD and every outer
         # objective from scratch instead of carrying trace norms
+        solver_objective = completion._solver_objective
+
         def fresh_objective(x_hat, tr_hat, obs, maskf, model, y, cfg):
-            w = model.weights
-            return objective(x_hat, obs, model, y, cfg) + cfg.lambda2 * cfg.ridge * float(w @ w)
+            return solver_objective(x_hat, trace_norm(x_hat), obs, obs.mask.astype(float),
+                                    model, y, cfg)
 
         monkeypatch.setattr(completion, "_svt_with_sigma", svt_reference)
         monkeypatch.setattr(completion, "_solver_objective", fresh_objective)

@@ -114,10 +114,6 @@ class TestObservedColumnStats:
 
 
 class TestPlan:
-    def test_json_round_trip(self):
-        plan = ExperimentPlan(strategy="poss", rounds=4, seed=9, budget_per_round=12.5)
-        assert ExperimentPlan.from_json(plan.to_json()) == plan
-
     @pytest.mark.parametrize(
         "kwargs",
         [
