@@ -8,8 +8,12 @@ The solver minimizes
 jointly over the recovered matrix ``Xhat`` and the linear model ``(w, b)``
 by block alternation: an accelerated proximal gradient pass updates the
 matrix with the model fixed (singular value thresholding as the proximal
-step, backtracked Lipschitz estimate), then the model is refit in closed
-form on the current ``Xhat``. Every accepted update is guarded so the
+step, constant step ``1 / L``), then the model is refit in closed form on
+the current ``Xhat``. With the model fixed, the smooth part's gradient is
+Lipschitz with ``L = 1 + 2 * lambda2 * ||w||^2``: the masked data term
+contributes at most 1, and the supervised term ``2 * lambda2 * (dX w) w.T``
+at most ``2 * lambda2 * ||w||^2 * ||dX||_F``. So each inner step makes one
+SVT and no step is ever retried. Every accepted update is guarded so the
 recorded objective can never increase.
 
 SVT works on the small side of the matrix: for an ``n x d`` matrix with
@@ -38,10 +42,7 @@ from .matrix import PartialMatrix, _as_matrix, trace_norm
 # Momentum needs a few steps before the objective-change signal means
 # anything; the inner loop never stops on tolerance before this many.
 _MIN_INNER_STEPS = 10
-# The backtracked Lipschitz estimate starts at _L_INIT and is multiplied by
-# _GAMMA until the majorization holds; momentum starts at theta = _THETA0.
-_L_INIT = 1.1
-_GAMMA = 2.0
+# momentum starts at theta = _THETA0
 _THETA0 = 1.0
 
 
@@ -94,36 +95,21 @@ def _check_shapes(x_hat: np.ndarray, obs: PartialMatrix, model, labels):
         raise DimensionMismatchError("model width does not match column count")
 
 
-def _supervised_residual(x: np.ndarray, model: LinearModel, y: np.ndarray) -> np.ndarray:
-    return x @ model.weights + model.bias - y
+def _g_value(x, xw, obs, maskf, model, y, lambda2, out=None) -> float:
+    """Smooth value at ``x`` given ``xw = x @ model.weights``.
 
-
-def _masked_residual(x, obs, maskf) -> np.ndarray:
+    ``out``, when given, is an ``x``-shaped buffer the masked residual is
+    written into instead of a fresh array.
+    """
     # unobserved cells of obs.values are zero, so scaling by the 0/1 mask
     # leaves the residual on observed cells and zero elsewhere
-    diff = x - obs.values
+    diff = np.subtract(x, obs.values, out=out)
     diff *= maskf
-    return diff
-
-
-def _g_value(x, obs, maskf, model, y, lambda2) -> float:
-    diff = _masked_residual(x, obs, maskf)
     value = 0.5 * float(np.vdot(diff, diff))
     if lambda2:
-        res = _supervised_residual(x, model, y)
+        res = xw + model.bias - y
         value += lambda2 * float(res @ res)
     return value
-
-
-def _g_value_and_grad(z, obs, maskf, model, y, lambda2) -> tuple[float, np.ndarray]:
-    """Smooth value and gradient at ``z`` from one shared residual."""
-    grad = _masked_residual(z, obs, maskf)
-    value = 0.5 * float(np.vdot(grad, grad))
-    if lambda2:
-        res = _supervised_residual(z, model, y)
-        value += lambda2 * float(res @ res)
-        grad += (2.0 * lambda2) * np.outer(res, model.weights)
-    return value, grad
 
 
 def objective(x_hat, obs: PartialMatrix, model: LinearModel, labels, cfg: CompletionConfig) -> float:
@@ -145,7 +131,11 @@ def grad_g(z, obs: PartialMatrix, model: LinearModel, labels, lambda2: float) ->
     zz = _as_matrix(z)
     y = _as_labels(labels)
     _check_shapes(zz, obs, model, y)
-    _, grad = _g_value_and_grad(zz, obs, obs.mask.astype(float), model, y, lambda2)
+    grad = zz - obs.values
+    grad *= obs.mask
+    if lambda2:
+        res = zz @ model.weights + model.bias - y
+        grad += (2.0 * lambda2) * np.outer(res, model.weights)
     return grad
 
 
@@ -187,68 +177,61 @@ def _apg(obs, maskf, model, y, cfg, warm, tr_warm, callback=None):
 
     ``maskf`` is ``obs.mask`` as floats and ``tr_warm`` the trace norm of
     ``warm`` (0.0 when lambda1 is 0, where no trace norm is computed).
-    Returns the best iterate seen (the momentum sequence itself is not
-    monotone), its trace norm on the same terms, and the accepted-step
-    count.
+    Every step is ``x_next = svt(z - grad_g(z) / L, lambda1 / L)`` at the
+    momentum point ``z``, with the Lipschitz constant ``L`` of the module
+    docstring. Returns the best iterate seen (the momentum sequence itself
+    is not monotone), its trace norm and its objective on the same terms,
+    and the step count.
     """
     lam1, lam2 = cfg.lambda1, cfg.lambda2
-    # iterates are rebound, never written in place, so one copy keeps the
-    # caller's array out of the result
+    w = model.weights
+    l = 1.0 + 2.0 * lam2 * float(w @ w)
+    # z - grad_g(z) / l == z * keep + shift - outer(res(z), w_step), where
+    # res(z) = z @ w + b - y follows from the carried x @ w vectors
+    keep = 1.0 - maskf / l
+    shift = obs.values / l
+    w_step = (2.0 * lam2 / l) * w
+    offset = model.bias - y
+    point, scratch = np.empty_like(warm), np.empty_like(warm)
+    # iterates are rebound to fresh arrays, never written in place, so one
+    # copy keeps the caller's array out of the result
     x_curr = x_prev = warm.copy()
+    xw_curr = xw_prev = x_curr @ w
     theta_curr = theta_prev = _THETA0
-    l = _L_INIT
 
-    f_curr = _g_value(x_curr, obs, maskf, model, y, lam2) + lam1 * tr_warm
+    f_curr = _g_value(x_curr, xw_curr, obs, maskf, model, y, lam2, scratch) + lam1 * tr_warm
     best_x, best_f, best_tr = x_curr, f_curr, tr_warm
     iterations = 0
 
     for k in range(cfg.max_inner):
         beta = theta_curr * (1.0 / theta_prev - 1.0)
-        z = x_curr + beta * (x_curr - x_prev)
-        g_at_z, gz = _g_value_and_grad(z, obs, maskf, model, y, lam2)
+        np.subtract(x_curr, x_prev, out=point)
+        point *= beta
+        point += x_curr  # the momentum point z
+        point *= keep
+        point += shift
+        if lam2:
+            res = xw_curr + beta * (xw_curr - xw_prev) + offset
+            point -= np.multiply.outer(res, w_step, out=scratch)
 
-        while True:
-            if lam1:
-                x_next, sig = _svt_with_sigma(z - gz / l, lam1 / l)
-                tr_next = float(sig.sum())
-            else:  # the proximal map of a zero penalty is the identity
-                x_next, tr_next = z - gz / l, 0.0
-            g_next = _g_value(x_next, obs, maskf, model, y, lam2)
-            diff = x_next - z
-            lhs = g_next + lam1 * tr_next
-            rhs = (
-                g_at_z
-                + float(np.vdot(gz, diff))
-                + lam1 * tr_next
-                + 0.5 * l * float(np.vdot(diff, diff))
-            )
-            if not (np.isfinite(lhs) and np.isfinite(rhs)):
-                raise DivergenceError(
-                    f"non-finite objective during backtracking at inner step {k}", k
-                )
-            if lhs <= rhs:
-                break
-            l *= _GAMMA
-
-        f_next = g_next + lam1 * tr_next
+        if lam1:
+            x_next, sig = _svt_with_sigma(point, lam1 / l)
+            tr_next = float(sig.sum())
+        else:  # the proximal map of a zero penalty is the identity
+            x_next, tr_next = point.copy(), 0.0
+        xw_next = x_next @ w
+        f_next = _g_value(x_next, xw_next, obs, maskf, model, y, lam2, scratch) + lam1 * tr_next
         if not np.isfinite(f_next):
             raise DivergenceError(f"non-finite objective at inner step {k}", k)
         iterations += 1
 
         if callback is not None:
-            callback(
-                {
-                    "iteration": k,
-                    "l": l,
-                    "majorization_lhs": lhs,
-                    "majorization_rhs": rhs,
-                    "objective": f_next,
-                }
-            )
+            callback({"iteration": k, "l": l, "objective": f_next})
 
         th = theta_curr
         theta_prev, theta_curr = th, 0.5 * (math.sqrt(th**4 + 4 * th**2) - th**2)
         x_prev, x_curr = x_curr, x_next
+        xw_prev, xw_curr = xw_curr, xw_next
 
         if f_next < best_f:
             best_f, best_x, best_tr = f_next, x_next, tr_next
@@ -257,24 +240,29 @@ def _apg(obs, maskf, model, y, cfg, warm, tr_warm, callback=None):
         if rel < cfg.tol and iterations >= min(_MIN_INNER_STEPS, cfg.max_inner):
             break
 
-    return best_x, best_tr, iterations
+    return best_x, best_tr, best_f, iterations
 
 
 def apg_minimize(obs: PartialMatrix, model: LinearModel, labels, cfg: CompletionConfig,
                  warm_start, callback=None) -> np.ndarray:
     """Minimize the objective over the matrix with the model held fixed.
 
-    ``callback``, when given, is invoked once per accepted inner step with a
-    dict of diagnostics (backtracking certificate sides, the current
-    Lipschitz estimate, the objective value).
+    ``callback``, when given, is invoked once per inner step with a dict
+    ``{"iteration", "l", "objective"}``: the step index, the Lipschitz
+    constant ``L`` (the step is ``1 / L``, the same for every step of the
+    call), and the objective value at the new iterate.
     """
     warm = _as_matrix(warm_start)
     y = _as_labels(labels)
     _check_shapes(warm, obs, model, y)
     tr_warm = trace_norm(warm) if cfg.lambda1 else 0.0
-    best_x, _, _ = _apg(obs, obs.mask.astype(float), model, y, cfg, warm, tr_warm,
-                        callback=callback)
+    best_x, _, _, _ = _apg(obs, obs.mask.astype(float), model, y, cfg, warm, tr_warm,
+                           callback=callback)
     return best_x
+
+
+def _ridge_term(model, cfg) -> float:
+    return cfg.lambda2 * cfg.ridge * float(model.weights @ model.weights)
 
 
 def _solver_objective(x_hat, tr_hat, obs, maskf, model, y, cfg) -> float:
@@ -284,10 +272,8 @@ def _solver_objective(x_hat, tr_hat, obs, maskf, model, y, cfg) -> float:
     the matching lambda2 * ridge * ||w||^2 term; without it the refit is
     not an exact block minimizer and the trace could tick upward.
     """
-    value = _g_value(x_hat, obs, maskf, model, y, cfg.lambda2) + cfg.lambda1 * tr_hat
-    if cfg.lambda2:
-        value += cfg.lambda2 * cfg.ridge * float(model.weights @ model.weights)
-    return value
+    g = _g_value(x_hat, x_hat @ model.weights, obs, maskf, model, y, cfg.lambda2)
+    return g + cfg.lambda1 * tr_hat + _ridge_term(model, cfg)
 
 
 def fit(obs: PartialMatrix, labels, cfg: CompletionConfig | None = None,
@@ -323,9 +309,10 @@ def fit(obs: PartialMatrix, labels, cfg: CompletionConfig | None = None,
     for _ in range(cfg.max_outer):
         previous = current
 
-        candidate, cand_tr, iters = _apg(obs, maskf, model, y, cfg, x_hat, tr_hat)
+        # _apg's value leaves out the ridge term, constant while the model is fixed
+        candidate, cand_tr, cand_f, iters = _apg(obs, maskf, model, y, cfg, x_hat, tr_hat)
         inner_total += iters
-        cand_obj = _solver_objective(candidate, cand_tr, obs, maskf, model, y, cfg)
+        cand_obj = cand_f + _ridge_term(model, cfg)
         if cand_obj <= current:
             x_hat, tr_hat, current = candidate, cand_tr, cand_obj
 

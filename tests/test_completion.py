@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis.extra import numpy as hnp
 from hypothesis import strategies as st
 
 from activemc import completion
@@ -48,8 +49,7 @@ class TestConfig:
     def test_defaults_valid(self):
         cfg = CompletionConfig()
         assert cfg.lambda1 == 1.0 and cfg.lambda2 == 1.0
-        # the backtracking rule needs a growing estimate and theta in (0, 1]
-        assert completion._L_INIT > 1 and completion._GAMMA > 1
+        # momentum needs theta in (0, 1]
         assert 0 < completion._THETA0 <= 1
 
     @pytest.mark.parametrize(
@@ -271,19 +271,83 @@ class TestApgMinimize:
         final = objective(out, obs, zero_model(10), y, cfg)
         assert final <= start
 
-    def test_backtracking_certificate_at_every_accepted_step(self):
+    def test_one_step_is_svt_of_the_gradient_point(self):
+        # from a warm start the momentum is zero, so the first step is the
+        # textbook proximal gradient step at the closed-form constant L
         rng = np.random.default_rng(8)
         x, obs, y, model = random_instance(rng, n=8, d=5)
-        cfg = CompletionConfig(lambda1=0.5, lambda2=1.0, max_inner=60)
+        cfg = CompletionConfig(lambda1=0.5, lambda2=1.0, max_inner=1)
+        warm = obs.values.copy()
+        out = apg_minimize(obs, model, y, cfg, warm_start=warm)
+        assert objective(out, obs, model, y, cfg) < objective(warm, obs, model, y, cfg)
+
+        lip = 1.0 + 2.0 * cfg.lambda2 * float(model.weights @ model.weights)
+        step = warm - grad_g(warm, obs, model, y, cfg.lambda2) / lip
+        assert_rel_close(out, svt(step, cfg.lambda1 / lip), 1e-12)
+
+    def test_steps_follow_the_fista_recursion(self):
+        # the fused gradient point carries the momentum through x @ w; the
+        # reference builds every step from the public grad_g and svt
+        rng = np.random.default_rng(9)
+        x, obs, y, model = random_instance(rng, n=9, d=6)
+        cfg = CompletionConfig(lambda1=0.5, lambda2=1.0, ridge=0.0, max_inner=8)
+        warm = obs.values.copy()
         seen = []
+        apg_minimize(obs, model, y, cfg, warm_start=warm, callback=seen.append)
 
-        def check(info):
-            seen.append(info["iteration"])
-            assert info["majorization_lhs"] <= info["majorization_rhs"] + 1e-12
-            assert info["l"] >= completion._L_INIT
+        lip = 1.0 + 2.0 * cfg.lambda2 * float(model.weights @ model.weights)
+        x_prev = x_curr = warm
+        theta_prev = theta = 1.0
+        for k, info in enumerate(seen):
+            assert info["iteration"] == k and info["l"] == lip
+            z = x_curr + theta * (1.0 / theta_prev - 1.0) * (x_curr - x_prev)
+            step = z - grad_g(z, obs, model, y, cfg.lambda2) / lip
+            x_prev, x_curr = x_curr, svt(step, cfg.lambda1 / lip)
+            theta_prev, theta = theta, 0.5 * (np.sqrt(theta**4 + 4 * theta**2) - theta**2)
+            expected = objective(x_curr, obs, model, y, cfg)
+            assert info["objective"] == pytest.approx(expected, rel=1e-10, abs=0)
+        assert len(seen) == cfg.max_inner
 
-        apg_minimize(obs, model, y, cfg, warm_start=obs.values.copy(), callback=check)
-        assert len(seen) > 0
+
+@st.composite
+def smooth_points(draw):
+    """A point z, a move dz, and a smooth part: observations, model, labels, lambda2."""
+    n, d = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    values = st.floats(-100, 100, allow_subnormal=False)
+
+    def array(shape):
+        return draw(hnp.arrays(float, shape, elements=values))
+
+    mask = draw(hnp.arrays(bool, (n, d)))
+    data = np.where(mask, array((n, d)), 0.0)
+    model = LinearModel(weights=array(d), bias=draw(values))
+    y = np.where(draw(hnp.arrays(bool, n)), 1, -1)
+    lambda2 = draw(st.sampled_from([0.0, 1e-3, 0.5, 1.0, 10.0]))
+    return array((n, d)), array((n, d)), PartialMatrix(data, mask), model, y, lambda2
+
+
+# one fully observed row moved along w: both terms of the quadratic bound
+# are attained, 0.5 * ||dz||^2 by the mask and lambda2 * ||dz w||^2 by the model
+_tight = (np.zeros((1, 2)), np.array([[1.0, 2.0]]),
+          PartialMatrix(np.array([[3.0, -1.0]]), np.ones((1, 2), bool)),
+          LinearModel(weights=np.array([1.0, 2.0]), bias=0.5), np.array([1]), 1.0)
+
+
+class TestLipschitzConstant:
+    @given(smooth_points())
+    @example(_tight)
+    @settings(max_examples=200, deadline=None)
+    def test_quadratic_upper_bound(self, case):
+        # g(z + dz) <= g(z) + <grad g(z), dz> + (L / 2) ||dz||^2 at every z
+        z, dz, obs, model, y, lambda2 = case
+        cfg = CompletionConfig(lambda1=0.0, lambda2=lambda2, ridge=0.0)
+        lip = 1.0 + 2.0 * lambda2 * float(model.weights @ model.weights)
+        g_z = objective(z, obs, model, y, cfg)
+        slope = float(np.vdot(grad_g(z, obs, model, y, lambda2), dz))
+        curvature = 0.5 * lip * float(np.vdot(dz, dz))
+        g_moved = objective(z + dz, obs, model, y, cfg)
+        scale = abs(g_z) + abs(slope) + curvature + abs(g_moved)
+        assert g_moved <= g_z + slope + curvature + 1e-12 * scale
 
 
 class TestFit:
@@ -406,6 +470,21 @@ class TestFit:
         assert len(ref.objective_trace) == len(result.objective_trace)
         np.testing.assert_allclose(result.objective_trace, ref.objective_trace, rtol=1e-9, atol=0)
         assert_rel_close(result.x_hat, ref.x_hat, 1e-9)
+
+    def test_one_svt_per_inner_step(self, monkeypatch):
+        # the constant step is never retried, so no SVT goes to waste
+        obs, y = self.supervised_instance(18, n=60, d=8)
+        calls = []
+        real = completion._svt_with_sigma
+
+        def counted(m, tau):
+            calls.append(m.shape)
+            return real(m, tau)
+
+        monkeypatch.setattr(completion, "_svt_with_sigma", counted)
+        result = fit(obs, y)
+        assert result.inner_iterations > 0
+        assert len(calls) == result.inner_iterations
 
     def test_lambda1_zero_runs_no_decomposition(self, monkeypatch):
         obs, y = self.supervised_instance(16, n=60, d=8)
