@@ -2,12 +2,14 @@
 
 An entry's score is the spread of its recovered values across completion
 rounds: the sum of squared deviations from the mean over the last ``m``
-snapshots (all snapshots when the window is 0). Entries whose value keeps
-moving are the ones the solver cannot pin down, so they are worth querying.
+snapshots (all snapshots when the window is 0), taken in two passes over
+copies of those snapshots. Entries whose value keeps moving are the ones
+the solver cannot pin down, so they are worth querying.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,68 +33,41 @@ class CostModel:
 
 
 class InformativenessTracker:
-    """Per-entry variance statistics over completion snapshots.
+    """Per-entry variance over completion snapshots.
 
-    window == 0 keeps running sums over every snapshot ever recorded;
-    window == m > 0 keeps a ring of the last m snapshots and sums it when
-    scored, so a large evicted value cannot swamp the small ones retained.
-    Before any eviction the ring is summed in snapshot order, so both modes
-    agree exactly.
+    Keeps a copy of every recorded snapshot, or of the last ``window`` when
+    the window is positive. ``score_grid`` takes two passes over the kept
+    snapshots, the mean and then the squared deviations from it, so a large
+    common offset cannot cancel the spread away.
     """
 
     def __init__(self, window: int = 0):
         if window < 0:
             raise ValueError("window must be 0 (unbounded) or positive")
         self.window = int(window)
-        self.snapshots_seen = 0
-        self._shape: tuple[int, int] | None = None
-        self._sum: np.ndarray | None = None
-        self._sumsq: np.ndarray | None = None
-        self._ring: np.ndarray | None = None
+        self._kept: deque[np.ndarray] = deque(maxlen=self.window or None)
 
     @property
     def retained(self) -> int:
         """Number of snapshots currently contributing to the statistics."""
-        if self.window == 0:
-            return self.snapshots_seen
-        return min(self.snapshots_seen, self.window)
+        return len(self._kept)
 
     def record_snapshot(self, x_hat) -> "InformativenessTracker":
-        x = _as_matrix(x_hat)
-        if self._shape is None:
-            self._shape = x.shape
-            if self.window > 0:
-                self._ring = np.zeros((self.window,) + x.shape)
-            else:
-                self._sum = np.zeros(x.shape)
-                self._sumsq = np.zeros(x.shape)
-        elif x.shape != self._shape:
+        x = _as_matrix(x_hat).copy()
+        if self._kept and x.shape != self._kept[0].shape:
             raise DimensionMismatchError(
-                f"snapshot shape {x.shape} changed from {self._shape}"
+                f"snapshot shape {x.shape} changed from {self._kept[0].shape}"
             )
-
-        if self.window > 0:
-            self._ring[self.snapshots_seen % self.window] = x
-        else:
-            self._sum += x
-            self._sumsq += x * x
-        self.snapshots_seen += 1
+        self._kept.append(x)
         return self
 
     def score_grid(self) -> np.ndarray:
         """Sum of squared deviations from the window mean, per entry."""
-        if self.snapshots_seen == 0:
+        if not self._kept:
             raise ValueError("no snapshots recorded yet")
-        count = self.retained
-        if count < 2:
-            return np.zeros(self._shape)
-        if self.window > 0:
-            kept = self._ring[:count]
-            total, total_sq = kept.sum(axis=0), (kept * kept).sum(axis=0)
-        else:
-            total, total_sq = self._sum, self._sumsq
-        scores = total_sq - (total * total) / count
-        return np.maximum(scores, 0.0)
+        deviations = np.stack(self._kept)
+        deviations -= deviations.mean(axis=0)
+        return np.square(deviations, out=deviations).sum(axis=0)
 
 
 def informativeness(tracker: InformativenessTracker,

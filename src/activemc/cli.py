@@ -140,8 +140,19 @@ def _cmd_simulate(args) -> int:
         plan = ExperimentPlan(**config)
     except TypeError as exc:
         raise ValueError(f"invalid config: {exc}") from exc
+    if not plan.data:
+        raise ValueError('config has no "data" file')
 
-    result = run_experiment(plan)
+    features, labels = data_io.load_dataset(
+        data_io.DatasetSpec(
+            path=plan.data,
+            label_column=plan.label_col,
+            positive_label=plan.positive_label,
+            delimiter=plan.delimiter,
+            has_header=plan.has_header,
+        )
+    )
+    result = run_experiment(plan, features, labels)
     for index, records in enumerate(result.replicates):
         if len(records) < plan.rounds:
             print(f"simulate: replicate {index} stopped after round {records[-1].round} "

@@ -288,12 +288,8 @@ def fit(obs: PartialMatrix, labels, cfg: CompletionConfig | None = None,
     if cfg is None:
         cfg = CompletionConfig()
     y = _as_labels(labels)
-    if y.shape[0] != obs.n_rows:
-        raise DimensionMismatchError("labels length does not match row count")
-
     x_hat = obs.values.copy() if warm_start is None else _as_matrix(warm_start).copy()
-    if x_hat.shape != obs.shape:
-        raise DimensionMismatchError("warm start shape does not match observations")
+    _check_shapes(x_hat, obs, None, y)
 
     maskf = obs.mask.astype(float)
     model = train_ridge(x_hat, y, cfg.ridge)

@@ -46,7 +46,7 @@ _SPLIT_RETRIES = 100
 class ExperimentPlan:
     """Flat experiment configuration; mirrors the JSON config files 1:1."""
 
-    # dataset reference (resolved by the CLI; tests inject arrays directly)
+    # dataset file the CLI loads before calling run_experiment
     data: str | None = None
     label_col: str = "last"
     positive_label: str | None = None
@@ -99,6 +99,7 @@ class ExperimentPlan:
             raise ValueError("poss_pool must be at least 1")
         if self.poss_iterations < 1:
             raise ValueError("poss_iterations must be at least 1")
+        self.completion_config()  # runs the solver settings' own checks
 
     def completion_config(self) -> CompletionConfig:
         return CompletionConfig(
@@ -351,26 +352,12 @@ def _mean_series(replicates: list[list[RoundRecord]]) -> list[RoundRecord]:
     return mean
 
 
-def run_experiment(plan: ExperimentPlan, features=None, labels=None) -> ExperimentResult:
+def run_experiment(plan: ExperimentPlan, features, labels) -> ExperimentResult:
     """All replicates of the plan, plus the replicate-mean series.
 
-    ``features``/``labels`` may be passed directly (tests, synthetic runs);
-    otherwise the plan's dataset reference is loaded from disk.
+    The harness reads no files: the caller loads ``plan.data`` and passes
+    the arrays (``activemc simulate`` does, with ``data_io.load_dataset``).
     """
-    if features is None or labels is None:
-        if not plan.data:
-            raise ValueError("plan has no dataset reference and no arrays were given")
-        from .data_io import DatasetSpec, load_dataset
-
-        features, labels = load_dataset(
-            DatasetSpec(
-                path=plan.data,
-                label_column=plan.label_col,
-                positive_label=plan.positive_label,
-                delimiter=plan.delimiter,
-                has_header=plan.has_header,
-            )
-        )
     features = _as_matrix(features)
     labels = np.asarray(labels, dtype=int)
 

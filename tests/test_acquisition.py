@@ -66,7 +66,7 @@ class TestTracker:
         t = InformativenessTracker()
         t.record_snapshot(np.ones((2, 2)))
         np.testing.assert_array_equal(t.score_grid(), np.zeros((2, 2)))
-        assert t.snapshots_seen == 1 and t.retained == 1
+        assert t.retained == 1
 
     def test_shape_change_rejected(self):
         t = InformativenessTracker()
@@ -77,6 +77,28 @@ class TestTracker:
     def test_no_snapshots_rejected(self):
         with pytest.raises(ValueError):
             InformativenessTracker().score_grid()
+
+    @pytest.mark.parametrize("window", [0, 8])
+    def test_large_offset_matches_two_pass_reference(self, window):
+        # unit spread on a 1e6 offset: one-pass sums x^2 - (sum x)^2 / k
+        # cancel to about 2e-3 relative here
+        spread = np.random.default_rng(5).standard_normal((40, 5, 4))
+        values = 1e6 + spread
+        t = InformativenessTracker(window=window)
+        for snapshot in values:
+            t.record_snapshot(snapshot)
+        kept = (values if window == 0 else values[-window:]).astype(np.longdouble)
+        expected = ((kept - kept.mean(axis=0)) ** 2).sum(axis=0)
+        np.testing.assert_allclose(t.score_grid(), expected.astype(float), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("window", [0, 2])
+    def test_recorded_snapshot_is_copied(self, window):
+        first, second = np.zeros((2, 2)), np.ones((2, 2))
+        t = InformativenessTracker(window=window)
+        t.record_snapshot(first).record_snapshot(second)
+        first += 5.0
+        second[0, 0] = -3.0
+        np.testing.assert_array_equal(t.score_grid(), np.full((2, 2), 0.5))
 
     def test_scores_nonnegative(self):
         rng = np.random.default_rng(3)
@@ -95,6 +117,8 @@ class TestTrackerProperties:
     @example(window=2, values=[[1.0, 0.0], [6.5196366863856086e-46, 0.0], [0.0, 0.0]])
     # a variance whose square underflows to a subnormal
     @example(window=0, values=[[0.0, 0.0], [0.0, 1.3837e-160]])
+    # a spread small next to the mean, where one-pass sums cancel
+    @example(window=0, values=[[0.0, 0.484375], [0.0, 0.4921875], [0.0, 0.490234375]])
     def test_window_arithmetic_matches_two_pass(self, window, values):
         t = InformativenessTracker(window=window)
         for v in values:
@@ -102,13 +126,12 @@ class TestTrackerProperties:
         seen = len(values)
         assert t.retained == min(seen, window or seen)
         kept = np.array(values[-t.retained:])
-        expected = ((kept - kept.mean(axis=0)) ** 2).sum(axis=0) if len(kept) > 1 else 0.0
-        # the sums lose precision as offset^2 / spread^2 grows, so the
-        # tolerance scales with the values retained; squares of tiny values
-        # are subnormal, where one rounding is a whole subnormal step
-        tol = max(1e-9 * t.retained * np.abs(kept).max() ** 2,
-                  4 * t.retained * np.finfo(float).smallest_subnormal)
-        np.testing.assert_allclose(t.score_grid()[0], expected, rtol=0, atol=tol)
+        expected = ((kept - kept.mean(axis=0)) ** 2).sum(axis=0)
+        # a sum of non-negative terms in any order is within k roundings;
+        # squares of tiny values are subnormal, where one rounding is a
+        # whole subnormal step
+        floor = 4 * t.retained * np.finfo(float).smallest_subnormal
+        np.testing.assert_allclose(t.score_grid()[0], expected, rtol=1e-12, atol=floor)
 
 
 class TestInformativeness:

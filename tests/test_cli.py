@@ -128,6 +128,13 @@ class TestSimulate:
         assert "solver diverged at iteration 7" in err
         assert "replicate 1, round 2" in err
 
+    def test_requires_data(self, tmp_path, capsys):
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps({"rounds": 1, "replicates": 1}))
+        assert cli_main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == 'error: config has no "data" file\n'
+        assert not (tmp_path / "o").exists()
+
     def test_invalid_config_key(self, tmp_path, dataset, capsys):
         path = tmp_path / "plan.json"
         path.write_text(json.dumps({"data": dataset, "no_such_knob": 1}))

@@ -129,6 +129,10 @@ class TestPlan:
             {"poss_pool": -5},
             {"poss_iterations": 0},
             {"poss_iterations": -1},
+            {"lambda1": -1.0},
+            {"max_inner": 0},
+            {"tol": 0.0},
+            {"ridge": -1.0},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -288,10 +292,6 @@ class TestRunExperiment:
             run_experiment(self.plan(rounds=3, replicates=2), x, y)
         assert info.value.iteration == 7
         assert "inner step 7" in str(info.value)
-
-    def test_requires_data_or_arrays(self):
-        with pytest.raises(ValueError):
-            run_experiment(self.plan())
 
     def test_record_fields_are_complete(self):
         x, y, _ = small_dataset()
