@@ -16,6 +16,15 @@ at most ``2 * lambda2 * ||w||^2 * ||dX||_F``. So each inner step makes one
 SVT and no step is ever retried. Every accepted update is guarded so the
 recorded objective can never increase.
 
+The inner loop stops once the objective's relative change falls below
+``tol``. The first two steps from each warm start carry no momentum: each
+is a plain proximal step at ``1 / L``, which lowers the objective ``F`` by
+at least ``(L / 2) * ||x+ - x||^2`` (Beck & Teboulle 2009). A relative
+change below ``tol`` there bounds the gradient mapping,
+``||L * (x - x+)|| <= sqrt(2 * L * tol * |F|)``, so either step may stop
+the loop. Momentum steps do not decrease ``F`` monotonically, and stop
+only after ``_MIN_INNER_STEPS``.
+
 SVT works on the small side of the matrix: for an ``n x d`` matrix with
 ``n >= d`` (a wide one is transposed in and out) it takes the
 eigendecomposition of the ``d x d`` Gram matrix ``m.T @ m``, keeps the
@@ -39,8 +48,11 @@ from .errors import DimensionMismatchError, DivergenceError
 from .linear_model import LinearModel, _as_labels, train_ridge
 from .matrix import PartialMatrix, _as_matrix, trace_norm
 
-# Momentum needs a few steps before the objective-change signal means
-# anything; the inner loop never stops on tolerance before this many.
+# The two momentum-free steps from each warm start may stop the inner loop
+# on tolerance: a plain proximal step's decrease bounds the gradient mapping.
+# Momentum steps are not monotone and need a few steps before the
+# objective-change signal means anything, so past those two the loop never
+# stops on tolerance before this many steps.
 _MIN_INNER_STEPS = 10
 # momentum starts at theta = _THETA0
 _THETA0 = 1.0
@@ -237,7 +249,8 @@ def _apg(obs, maskf, model, y, cfg, warm, tr_warm, callback=None):
             best_f, best_x, best_tr = f_next, x_next, tr_next
         rel = abs(f_curr - f_next) / max(abs(f_curr), 1e-12)
         f_curr = f_next
-        if rel < cfg.tol and iterations >= min(_MIN_INNER_STEPS, cfg.max_inner):
+        # beta == 0 on steps 0 and 1: see _MIN_INNER_STEPS
+        if rel < cfg.tol and (beta == 0.0 or iterations >= min(_MIN_INNER_STEPS, cfg.max_inner)):
             break
 
     return best_x, best_tr, best_f, iterations
@@ -251,6 +264,12 @@ def apg_minimize(obs: PartialMatrix, model: LinearModel, labels, cfg: Completion
     ``{"iteration", "l", "objective"}``: the step index, the Lipschitz
     constant ``L`` (the step is ``1 / L``, the same for every step of the
     call), and the objective value at the new iterate.
+
+    The loop stops when the objective changes by less than ``cfg.tol``
+    relative: on step 0 or 1, which carry no momentum (so restarting from
+    a converged answer costs one or two steps), or from step
+    ``_MIN_INNER_STEPS`` on. A stop on step 0 or 1 bounds the gradient
+    mapping by ``sqrt(2 * L * tol * |F|)``.
     """
     warm = _as_matrix(warm_start)
     y = _as_labels(labels)

@@ -19,7 +19,7 @@ def _as_labels(labels) -> np.ndarray:
     y = np.asarray(labels)
     if y.ndim != 1:
         raise DimensionMismatchError("labels must be a 1-d vector")
-    if y.size and not np.isin(y, (-1, 1)).all():
+    if not ((y == 1) | (y == -1)).all():
         raise ValueError("labels must take values in {-1, +1}")
     return y.astype(float)
 
@@ -72,10 +72,16 @@ def train_ridge(x, labels, ridge: float = 0.0) -> LinearModel:
     if ridge < 0:
         raise ValueError("ridge must be nonnegative")
 
-    aug = np.hstack([a, np.ones((n, 1))])
-    gram = aug.T @ aug
-    gram[:d, :d] += ridge * np.eye(d)
-    rhs = aug.T @ y
+    # the Gram matrix and right-hand side of the system augmented with a
+    # column of ones, built blockwise rather than from a stacked copy
+    gram = np.empty((d + 1, d + 1))
+    gram[:d, :d] = a.T @ a
+    gram[:d, :d].flat[:: d + 1] += ridge
+    gram[d, :d] = gram[:d, d] = a.sum(axis=0)
+    gram[d, d] = n
+    rhs = np.empty(d + 1)
+    rhs[:d] = y @ a
+    rhs[d] = y.sum()
 
     if ridge == 0.0:
         spectrum = np.linalg.svd(gram, compute_uv=False)

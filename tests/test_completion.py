@@ -350,6 +350,87 @@ class TestLipschitzConstant:
         assert g_moved <= g_z + slope + curvature + 1e-12 * scale
 
 
+@st.composite
+def prox_points(draw):
+    """A point x, observations, model, labels, lambda1 and lambda2.
+
+    Entries and weights stay moderate, so L stays below ~250 and the
+    Gram-based SVT error (about eps * sigma_1 / tau) far below the tolerance.
+    """
+    n, d = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    values = st.floats(-10, 10, allow_subnormal=False)
+    mask = draw(hnp.arrays(bool, (n, d)))
+    data = np.where(mask, draw(hnp.arrays(float, (n, d), elements=values)), 0.0)
+    x = draw(hnp.arrays(float, (n, d), elements=values))
+    weights = draw(hnp.arrays(float, d, elements=st.floats(-3, 3, allow_subnormal=False)))
+    model = LinearModel(weights=weights, bias=draw(values))
+    y = np.where(draw(hnp.arrays(bool, n)), 1, -1)
+    lambda1 = draw(st.sampled_from([0.0, 0.1, 1.0, 5.0]))
+    lambda2 = draw(st.sampled_from([0.0, 0.5, 1.0, 2.0]))
+    return x, PartialMatrix(data, mask), model, y, lambda1, lambda2
+
+
+# lambda1 = 0 with the gradient along w: the smooth part has curvature
+# exactly L in the step's direction, so the bound holds with equality
+_tight_step = (np.array([[4.0, 1.0]]),
+               PartialMatrix(np.array([[3.0, -1.0]]), np.ones((1, 2), bool)),
+               LinearModel(weights=np.array([1.0, 2.0]), bias=0.5), np.array([1]), 0.0, 1.0)
+
+
+class TestSufficientDecrease:
+    @given(prox_points())
+    @example(_tight_step)
+    @settings(max_examples=200, deadline=None)
+    def test_prox_step_decrease_bounds_its_length(self, case):
+        # what the stop rule relies on: a momentum-free step at 1 / L lowers
+        # the objective by at least (L / 2) ||x+ - x||^2 (Beck & Teboulle 2009)
+        x, obs, model, y, lambda1, lambda2 = case
+        cfg = CompletionConfig(lambda1=lambda1, lambda2=lambda2, ridge=0.0)
+        lip = 1.0 + 2.0 * lambda2 * float(model.weights @ model.weights)
+        x_next = svt(x - grad_g(x, obs, model, y, lambda2) / lip, lambda1 / lip)
+        f_x = objective(x, obs, model, y, cfg)
+        f_next = objective(x_next, obs, model, y, cfg)
+        decrease = 0.5 * lip * float(np.vdot(x_next - x, x_next - x))
+        scale = abs(f_x) + abs(f_next) + decrease
+        assert f_next <= f_x - decrease + 1e-10 * scale
+
+
+class TestStopRule:
+    def test_restart_from_a_converged_result_stops_at_once(self):
+        # the first two steps from any warm start carry no momentum, so a
+        # solve restarted at its own answer settles there
+        rng = np.random.default_rng(10)
+        _, obs, y, model = random_instance(rng, n=8, d=5)
+        cfg = CompletionConfig(lambda1=0.5)
+        tight = CompletionConfig(lambda1=0.5, tol=1e-12, max_inner=2000)
+        out = apg_minimize(obs, model, y, tight, warm_start=obs.values)
+        seen = []
+        apg_minimize(obs, model, y, cfg, warm_start=out, callback=seen.append)
+        assert len(seen) <= 2
+
+    @given(seed=st.integers(0, 2**32 - 1), lambda1=st.sampled_from([0.0, 0.1, 0.5, 2.0]),
+           lambda2=st.sampled_from([0.0, 1.0]), max_inner=st.integers(1, 25),
+           tol=st.sampled_from([1e-2, 1e-4, 1e-6]), restart=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_stops_on_a_momentum_free_step_or_after_the_minimum(
+            self, seed, lambda1, lambda2, max_inner, tol, restart):
+        rng = np.random.default_rng(seed)
+        _, obs, y, model = random_instance(rng)
+        cfg = CompletionConfig(lambda1=lambda1, lambda2=lambda2, max_inner=max_inner, tol=tol)
+        warm = obs.values
+        if restart:
+            warm = apg_minimize(obs, model, y, cfg, warm_start=warm)
+        seen = []
+        apg_minimize(obs, model, y, cfg, warm_start=warm, callback=seen.append)
+        steps = len(seen)
+        # step indices 0 and 1, the minimum, or max_inner (never below the minimum)
+        assert steps <= 2 or steps >= min(completion._MIN_INNER_STEPS, max_inner)
+        if steps >= 2 and max_inner > 2:
+            # step 1 stops the loop exactly when its relative change is below tol
+            f0, f1 = seen[0]["objective"], seen[1]["objective"]
+            assert (steps == 2) == (abs(f0 - f1) / max(abs(f0), 1e-12) < tol)
+
+
 class TestFit:
     def test_fully_observed_returns_data_and_direct_model(self):
         rng = np.random.default_rng(9)

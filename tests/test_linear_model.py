@@ -1,16 +1,28 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from activemc.errors import DegenerateLabelsError, DimensionMismatchError, RankDeficiencyError
 from activemc.linear_model import (
     LabeledSplit,
     LinearModel,
+    _as_labels,
     accuracy,
     auc,
     decision_values,
     predict,
     train_ridge,
 )
+
+
+def stacked_ridge(x, y, ridge):
+    """Ridge solution from the normal equations of ``[x, 1]``, stacked explicitly."""
+    n, d = x.shape
+    aug = np.hstack([x, np.ones((n, 1))])
+    gram = aug.T @ aug
+    gram[:d, :d] += ridge * np.eye(d)
+    return np.linalg.solve(gram, aug.T @ y)
 
 
 class TestTrainRidge:
@@ -45,6 +57,52 @@ class TestTrainRidge:
     def test_rejects_bad_labels(self):
         with pytest.raises(ValueError):
             train_ridge(np.eye(2), np.array([1, 0]))
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), d=st.integers(1, 12),
+           ridge=st.floats(0.1, 10.0))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_stacked_normal_equations(self, seed, n, d, ridge):
+        # the Gram blocks are built without the n x (d + 1) stacked copy;
+        # on well-conditioned systems only rounding separates the two
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, d))
+        y = np.where(rng.random(n) < 0.5, 1, -1)
+        model = train_ridge(x, y, ridge)
+        expected = stacked_ridge(x, y.astype(float), ridge)
+        actual = np.append(model.weights, model.bias)
+        assert np.linalg.norm(actual - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), d=st.integers(1, 6),
+           defect=st.sampled_from(["few_rows", "duplicate", "constant"]))
+    @settings(max_examples=100, deadline=None)
+    def test_rank_deficient_without_ridge_raises(self, seed, n, d, defect):
+        rng = np.random.default_rng(seed)
+        if defect == "few_rows":  # at most d rows for d + 1 unknowns
+            x = rng.standard_normal((min(n, d), d))
+        else:
+            x = rng.standard_normal((n, d + 1))
+            # a repeated column, or one collinear with the intercept
+            x[:, -1] = x[:, 0] if defect == "duplicate" else 2.5
+        y = np.where(rng.random(x.shape[0]) < 0.5, 1, -1)
+        with pytest.raises(RankDeficiencyError):
+            train_ridge(x, y, ridge=0.0)
+
+
+class TestAsLabels:
+    @pytest.mark.parametrize("bad", [0, 2, -1.5, np.nan, np.inf])
+    def test_rejects_values_outside_plus_minus_one(self, bad):
+        with pytest.raises(ValueError):
+            _as_labels(np.array([1.0, -1.0, bad]))
+
+    def test_rejects_a_matrix(self):
+        with pytest.raises(DimensionMismatchError):
+            _as_labels(np.array([[1, -1], [-1, 1]]))
+
+    def test_accepts_plus_minus_one_of_any_dtype(self):
+        for labels in ([1, -1], np.array([1.0, -1.0]), np.array([1, -1], dtype=np.int8), []):
+            y = _as_labels(labels)
+            assert y.dtype == float
+            np.testing.assert_array_equal(y, labels)
 
 
 class TestDecisionValues:
