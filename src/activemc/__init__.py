@@ -16,7 +16,7 @@ from .completion import (
     grad_g,
     svt,
 )
-from .data_io import DatasetSpec, load_dataset, write_dataset, write_matrix, write_records
+from .data_io import load_dataset, write_dataset, write_matrix, write_records
 from .harness import (
     ExperimentPlan,
     ExperimentResult,
@@ -46,7 +46,6 @@ __all__ = [
     "CompletionConfig",
     "CompletionResult",
     "CostModel",
-    "DatasetSpec",
     "ExperimentPlan",
     "ExperimentResult",
     "InformativenessTracker",

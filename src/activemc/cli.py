@@ -15,13 +15,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import data_io
 from .bounds import BoundParams, lemma3_sweep, theorem1_bound
-from .completion import CompletionConfig, fit
+from .completion import fit
 from .errors import DivergenceError
 from .harness import (
     ExperimentPlan,
@@ -43,29 +44,33 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("complete", help="one-shot supervised completion of a dataset")
+    # the data commands' flags set the ExperimentPlan field named by their
+    # dest; an unset flag leaves the config value, then the plan default
+    p = sub.add_parser("complete", help="one-shot supervised completion of a dataset",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--data", required=True, help="delimited numeric dataset file")
-    p.add_argument("--label-col", default="last", help='label column: "last", index, or name')
-    p.add_argument("--positive-label", default=None, help="raw label token mapped to +1")
-    p.add_argument("--delimiter", default=",")
+    p.add_argument("--label-col", help='label column: "last", index, or name')
+    p.add_argument("--positive-label", help="raw label token mapped to +1")
+    p.add_argument("--delimiter")
     p.add_argument("--has-header", action="store_true")
-    p.add_argument("--no-standardize", action="store_true")
-    p.add_argument("--observed", type=float, default=0.6, help="observed-entry rate in (0, 1]")
-    p.add_argument("--lambda1", type=float, default=1.0)
-    p.add_argument("--lambda2", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--no-standardize", dest="standardize", action="store_false")
+    p.add_argument("--observed", dest="observed_rate", type=float, help="in (0, 1]")
+    p.add_argument("--lambda1", type=float)
+    p.add_argument("--lambda2", type=float)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True, help="output directory")
 
-    p = sub.add_parser("simulate", help="closed-loop acquisition experiment")
+    p = sub.add_parser("simulate", help="closed-loop acquisition experiment",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--config", required=True, help="JSON file of ExperimentPlan fields")
     p.add_argument("--out", required=True, help="output directory for record files")
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p.add_argument("--strategy", default=None)
-    p.add_argument("--rounds", type=int, default=None)
-    p.add_argument("--replicates", type=int, default=None)
-    p.add_argument("--window", type=int, default=None)
-    p.add_argument("--batch", type=int, default=None, help="entries per round")
-    p.add_argument("--budget", type=float, default=None, help="cost budget per round")
+    p.add_argument("--seed", type=int, help="override the config seed")
+    p.add_argument("--strategy")
+    p.add_argument("--rounds", type=int)
+    p.add_argument("--replicates", type=int)
+    p.add_argument("--window", type=int)
+    p.add_argument("--batch", dest="batch_size", type=int, help="entries per round")
+    p.add_argument("--budget", dest="budget_per_round", type=float, help="cost budget per round")
 
     p = sub.add_parser("bench-poss", help="subset optimizer vs exhaustive search")
     p.add_argument("--pool", type=int, default=10, help="candidates per pool (<= 20)")
@@ -90,26 +95,38 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _plan(args, config) -> ExperimentPlan:
+    """The plan from ``config`` with every given flag that names a plan field applied."""
+    names = {f.name for f in fields(ExperimentPlan)}
+    flags = {key: value for key, value in vars(args).items() if key in names}
+    try:
+        plan = ExperimentPlan(**{**config, **flags})
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"invalid config: {exc}") from exc
+    if not plan.data:
+        raise ValueError('config has no "data" file')
+    return plan
+
+
+def _load(plan: ExperimentPlan) -> tuple[np.ndarray, np.ndarray]:
+    return data_io.load_dataset(plan.data, label_col=plan.label_col,
+                                positive_label=plan.positive_label,
+                                delimiter=plan.delimiter, has_header=plan.has_header)
+
+
 def _cmd_complete(args) -> int:
-    spec = data_io.DatasetSpec(
-        path=args.data,
-        label_column=args.label_col,
-        positive_label=args.positive_label,
-        delimiter=args.delimiter,
-        has_header=args.has_header,
-    )
-    features, labels = data_io.load_dataset(spec)
-    mask = init_mask(features.shape, args.observed, args.seed)
-    obs, x_true = masked_problem(features, mask, not args.no_standardize)
-    cfg = CompletionConfig(lambda1=args.lambda1, lambda2=args.lambda2)
-    result = fit(obs, labels, cfg)
+    plan = _plan(args, {})
+    features, labels = _load(plan)
+    mask = init_mask(features.shape, plan.observed_rate, plan.seed)
+    obs, x_true = masked_problem(features, mask, plan.standardize)
+    result = fit(obs, labels, plan.completion_config())
 
     rel, msq = reconstruction_errors(result.x_hat, x_true)
     scores = decision_values(result.model, x_true)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    data_io.write_matrix(out / "recovered.csv", result.x_hat, delimiter=spec.delimiter)
+    data_io.write_matrix(out / "recovered.csv", result.x_hat, delimiter=plan.delimiter)
     with open(out / "metrics.csv", "w", newline="\n") as fh:
         fh.write("recon_rel,recon_msq,objective,train_accuracy,train_auc,converged,outer_rounds\n")
         fh.write(
@@ -123,35 +140,8 @@ def _cmd_complete(args) -> int:
 
 def _cmd_simulate(args) -> int:
     with open(args.config) as fh:
-        config = json.load(fh)
-    overrides = {
-        "seed": args.seed,
-        "strategy": args.strategy,
-        "rounds": args.rounds,
-        "replicates": args.replicates,
-        "window": args.window,
-        "batch_size": args.batch,
-        "budget_per_round": args.budget,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            config[key] = value
-    try:
-        plan = ExperimentPlan(**config)
-    except TypeError as exc:
-        raise ValueError(f"invalid config: {exc}") from exc
-    if not plan.data:
-        raise ValueError('config has no "data" file')
-
-    features, labels = data_io.load_dataset(
-        data_io.DatasetSpec(
-            path=plan.data,
-            label_column=plan.label_col,
-            positive_label=plan.positive_label,
-            delimiter=plan.delimiter,
-            has_header=plan.has_header,
-        )
-    )
+        plan = _plan(args, json.load(fh))
+    features, labels = _load(plan)
     result = run_experiment(plan, features, labels)
     for index, records in enumerate(result.replicates):
         if len(records) < plan.rounds:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -20,26 +20,7 @@ from .harness import RoundRecord
 RECORD_COLUMNS = tuple(f.name for f in fields(RoundRecord))
 
 
-@dataclass
-class DatasetSpec:
-    """Where and how to read a dataset.
-
-    ``label_column`` is "last", a 0-based column index, or (with a header)
-    a column name. ``positive_label`` is the raw token mapped to +1, every
-    other label token maps to -1, except that an empty or non-finite
-    numeric token is an error; when omitted the label column must already
-    hold -1/+1 values.
-    """
-
-    path: str
-    label_column: str | int = "last"
-    positive_label: str | None = None
-    delimiter: str = ","
-    has_header: bool = False
-
-
-def _resolve_label_index(spec: DatasetSpec, header: list[str] | None, width: int) -> int:
-    col = spec.label_column
+def _resolve_label_index(col: str | int, header: list[str] | None, width: int) -> int:
     if isinstance(col, str):
         if col == "last":
             return width - 1
@@ -48,7 +29,7 @@ def _resolve_label_index(spec: DatasetSpec, header: list[str] | None, width: int
         except ValueError:
             if header is None:
                 raise DatasetFormatError(
-                    f"label column {spec.label_column!r} is a name but the file has no header"
+                    f"label column {col!r} is a name but the file has no header"
                 )
             if col not in header:
                 raise DatasetFormatError(f"label column {col!r} not found in header")
@@ -86,20 +67,30 @@ def _parse_label(token: str, positive_label: str | None, where: str) -> int:
         return -1
 
 
-def load_dataset(spec: DatasetSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Parse a delimited file into (features, labels in {-1, +1})."""
-    path = Path(spec.path)
+def load_dataset(path, *, label_col: str | int = "last", positive_label: str | None = None,
+                 delimiter: str = ",", has_header: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Parse a delimited file into (features, labels in {-1, +1}).
+
+    ``label_col`` is "last", a 0-based column index, or (with a header) a
+    column name. ``positive_label`` is the raw token mapped to +1, every
+    other label token maps to -1, except that an empty or non-finite
+    numeric token is an error; when omitted the label column must already
+    hold -1/+1 values.
+    """
+    path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"dataset file not found: {path}")
+    if not isinstance(delimiter, str) or len(delimiter) != 1:
+        raise DatasetFormatError(f"{path}: delimiter {delimiter!r} is not one character")
 
     with open(path, newline="") as fh:
-        reader = csv.reader(fh, delimiter=spec.delimiter)
+        reader = csv.reader(fh, delimiter=delimiter)
         rows = [(reader.line_num, row) for row in reader if any(c.strip() for c in row)]
     if not rows:
         raise DatasetFormatError(f"{path} holds no data rows")
 
     header = None
-    if spec.has_header:
+    if has_header:
         header = [c.strip() for c in rows[0][1]]
         rows = rows[1:]
         if not rows:
@@ -108,7 +99,7 @@ def load_dataset(spec: DatasetSpec) -> tuple[np.ndarray, np.ndarray]:
     width = len(rows[0][1])
     if width < 3:
         raise DatasetFormatError(f"{path} needs at least 2 feature columns plus a label")
-    label_idx = _resolve_label_index(spec, header, width)
+    label_idx = _resolve_label_index(label_col, header, width)
 
     features, labels = [], []
     for line_num, row in rows:
@@ -126,7 +117,7 @@ def load_dataset(spec: DatasetSpec) -> tuple[np.ndarray, np.ndarray]:
                 raise DatasetFormatError(
                     f"{path} line {line_num}, column {j + 1}: non-numeric value {cell!r}"
                 )
-        labels.append(_parse_label(row[label_idx], spec.positive_label,
+        labels.append(_parse_label(row[label_idx], positive_label,
                                    f"{path} line {line_num}, column {label_idx + 1}"))
         features.append(feat)
 

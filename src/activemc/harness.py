@@ -12,7 +12,7 @@ cost.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -44,11 +44,11 @@ _SPLIT_RETRIES = 100
 
 @dataclass
 class ExperimentPlan:
-    """Flat experiment configuration; mirrors the JSON config files 1:1."""
+    """Flat experiment configuration; mirrors the JSON config files and ``complete``'s flags."""
 
     # dataset file the CLI loads before calling run_experiment
     data: str | None = None
-    label_col: str = "last"
+    label_col: str | int = "last"
     positive_label: str | None = None
     delimiter: str = ","
     has_header: bool = False
@@ -77,6 +77,15 @@ class ExperimentPlan:
     replicates: int = 10
 
     def __post_init__(self):
+        for f in fields(self):  # f.type is the annotation's text
+            value = getattr(self, f.name)
+            if f.type == "int" and (isinstance(value, bool)
+                                    or not isinstance(value, (int, np.integer))):
+                raise TypeError(f"{f.name} must be an integer, got {value!r}")
+            if f.type == "bool" and not isinstance(value, bool):
+                raise TypeError(f"{f.name} must be true or false, got {value!r}")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if not 0.0 < self.train_fraction <= 1.0:
             raise ValueError("train_fraction must lie in (0, 1]")
         if not 0.0 < self.observed_rate <= 1.0:

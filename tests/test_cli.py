@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from activemc import harness
+from activemc import cli, harness
 from activemc.cli import cli_main
-from activemc.data_io import write_dataset
+from activemc.data_io import load_dataset, write_dataset, write_matrix
 from activemc.errors import DivergenceError
 from activemc.synthetic import labeled_lowrank, margin_labeled_lowrank
 
@@ -41,6 +41,50 @@ class TestComplete:
         assert (tmp_path / "a" / "recovered.csv").exists()
         metrics = (tmp_path / "a" / "metrics.csv").read_text().splitlines()
         assert metrics[0].startswith("recon_rel,recon_msq,objective")
+
+    def test_unset_flags_take_plan_defaults(self, tmp_path, dataset):
+        # positive_label (None), has_header (False) and standardize (True)
+        # have no flag spelling of their default value
+        plan = harness.ExperimentPlan()
+        args = ["complete", "--data", dataset]
+        spelled = args + [
+            "--label-col", plan.label_col,
+            "--delimiter", plan.delimiter,
+            "--observed", str(plan.observed_rate),
+            "--lambda1", str(plan.lambda1),
+            "--lambda2", str(plan.lambda2),
+            "--seed", str(plan.seed),
+        ]
+        assert cli_main(args + ["--out", str(tmp_path / "a")]) == 0
+        assert cli_main(spelled + ["--out", str(tmp_path / "b")]) == 0
+        assert read_all(tmp_path / "a") == read_all(tmp_path / "b")
+
+    @pytest.mark.parametrize("flag, field, value", [
+        ("--lambda1", "lambda1", -1.0),
+        ("--observed", "observed_rate", 0.0),
+    ], ids=["lambda1", "observed"])
+    def test_bad_value_reads_as_in_simulate(self, tmp_path, dataset, capsys, flag, field, value):
+        out = tmp_path / "o"
+        assert cli_main(["complete", "--data", dataset, flag, str(value), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid config: {field}")
+        config = tmp_path / "plan.json"
+        config.write_text(json.dumps({"data": dataset, field: value}))
+        assert cli_main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("delimiter", ["", ";;"], ids=["empty", "two-chars"])
+    def test_bad_delimiter_is_an_error(self, tmp_path, dataset, capsys, delimiter):
+        out = tmp_path / "o"
+        code = cli_main(["complete", "--data", dataset, "--delimiter", delimiter, "--out", str(out)])
+        assert code == 1
+        config = tmp_path / "plan.json"
+        config.write_text(json.dumps({"data": dataset, "delimiter": delimiter}))
+        assert cli_main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"error: {dataset}: delimiter {delimiter!r} is not one character"] * 2
+        assert not out.exists()
 
     def test_missing_data_file(self, tmp_path, capsys):
         code = cli_main(
@@ -80,7 +124,15 @@ class TestSimulate:
             "train_objective,test_accuracy,test_auc"
         )
 
-    def test_flag_overrides_config(self, tmp_path, dataset):
+    def test_flag_overrides_config(self, tmp_path, dataset, monkeypatch):
+        plans = []
+        real_run = cli.run_experiment
+
+        def run_experiment(plan, features, labels):
+            plans.append(plan)
+            return real_run(plan, features, labels)
+
+        monkeypatch.setattr(cli, "run_experiment", run_experiment)
         out = tmp_path / "runs"
         code = cli_main(
             [
@@ -89,9 +141,12 @@ class TestSimulate:
                 "--out", str(out),
                 "--rounds", "2",
                 "--replicates", "1",
+                "--batch", "3",
+                "--budget", "7.5",
             ]
         )
         assert code == 0
+        assert (plans[0].batch_size, plans[0].budget_per_round) == (3, 7.5)
         records = (out / "replicate_00.csv").read_text().strip().splitlines()
         assert len(records) == 3  # header + 2 rounds
         assert not (out / "replicate_01.csv").exists()
@@ -134,6 +189,36 @@ class TestSimulate:
         assert cli_main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == 'error: config has no "data" file\n'
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("overrides, field", [
+        ({"rounds": 2.5}, "rounds"),
+        ({"batch_size": 2.5}, "batch_size"),
+        ({"replicates": 1.5}, "replicates"),
+        ({"max_inner": 2.5}, "max_inner"),
+        ({"strategy": "poss", "poss_pool": 2.5}, "poss_pool"),
+        ({"seed": 1.5}, "seed"),
+        ({"window": 1.5}, "window"),
+        ({"has_header": "no"}, "has_header"),
+        ({"rounds": True}, "rounds"),
+        ({"seed": -1}, "seed"),
+        ({"label_col": 0, "data": "label_first.csv"}, None),
+        ({"positive_label": 1}, None),
+    ], ids=["rounds-float", "batch_size-float", "replicates-float", "max_inner-float",
+            "poss_pool-float", "seed-float", "window-float", "has_header-string",
+            "rounds-bool", "seed-negative", "label_col-int", "positive_label-int"])
+    def test_plan_value_types(self, tmp_path, dataset, capsys, monkeypatch, overrides, field):
+        monkeypatch.chdir(tmp_path)
+        features, labels = load_dataset(dataset)
+        write_matrix("label_first.csv", np.column_stack([labels, features]))
+        out = tmp_path / "o"
+        code = cli_main(["simulate", "--config", self.config(tmp_path, dataset, **overrides),
+                         "--out", str(out)])
+        if field is None:  # accepted as the CLI has always read them
+            assert code == 0
+            return
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: invalid config: {field} ")
+        assert not out.exists()
 
     def test_invalid_config_key(self, tmp_path, dataset, capsys):
         path = tmp_path / "plan.json"

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from activemc.data_io import (
-    DatasetSpec,
     load_dataset,
     load_matrix,
     write_dataset,
@@ -22,32 +21,32 @@ def write_text(path, text):
 class TestLoadDataset:
     def test_label_mapping(self, tmp_path):
         path = write_text(tmp_path / "d.csv", "0.5,1.5,1\n2.0,3.0,0\n4.0,5.0,1\n")
-        features, labels = load_dataset(DatasetSpec(path, positive_label="1"))
+        features, labels = load_dataset(path, positive_label="1")
         np.testing.assert_array_equal(labels, [1, -1, 1])
         np.testing.assert_allclose(features, [[0.5, 1.5], [2.0, 3.0], [4.0, 5.0]])
 
     def test_header_skipped(self, tmp_path):
         path = write_text(tmp_path / "d.csv", "a,b,target\n1,2,1\n3,4,0\n")
         features, labels = load_dataset(
-            DatasetSpec(path, label_column="target", positive_label="1", has_header=True)
+            path, label_col="target", positive_label="1", has_header=True
         )
         np.testing.assert_array_equal(labels, [1, -1])
         assert features.shape == (2, 2)
 
     def test_label_column_index(self, tmp_path):
         path = write_text(tmp_path / "d.csv", "1,9,2\n0,8,3\n1,7,4\n")
-        features, labels = load_dataset(DatasetSpec(path, label_column=0, positive_label="1"))
+        features, labels = load_dataset(path, label_col=0, positive_label="1")
         np.testing.assert_array_equal(labels, [1, -1, 1])
         np.testing.assert_allclose(features[:, 0], [9.0, 8.0, 7.0])
 
     def test_numeric_label_equivalence(self, tmp_path):
         path = write_text(tmp_path / "d.csv", "1,2,1.0\n3,4,2.0\n")
-        _, labels = load_dataset(DatasetSpec(path, positive_label="1"))
+        _, labels = load_dataset(path, positive_label="1")
         np.testing.assert_array_equal(labels, [1, -1])
 
     def test_already_signed_labels(self, tmp_path):
         path = write_text(tmp_path / "d.csv", "1,2,-1\n3,4,1\n")
-        _, labels = load_dataset(DatasetSpec(path))
+        _, labels = load_dataset(path)
         np.testing.assert_array_equal(labels, [-1, 1])
 
     def test_round_trip(self, tmp_path):
@@ -56,17 +55,16 @@ class TestLoadDataset:
         labels = np.array([1, -1, 1, 1, -1])
         path = tmp_path / "out.csv"
         write_dataset(path, features, labels)
-        spec = DatasetSpec(str(path), positive_label="1")
-        reloaded, y = load_dataset(spec)
+        reloaded, y = load_dataset(path, positive_label="1")
         np.testing.assert_array_equal(reloaded, features)
         np.testing.assert_array_equal(y, labels)
 
     def test_missing_file(self):
         with pytest.raises(FileNotFoundError):
-            load_dataset(DatasetSpec("/nonexistent/file.csv"))
+            load_dataset("/nonexistent/file.csv")
 
     @pytest.mark.parametrize(
-        "text, label_column, where",
+        "text, label_col, where",
         [
             ("1,2,1\nnan,4,0\n", "last", "line 2, column 1: non-finite value 'nan'"),
             ("1,2,1\n3,4,0\n5,-inf,1\n", "last", "line 3, column 2: non-finite value '-inf'"),
@@ -74,10 +72,10 @@ class TestLoadDataset:
         ],
         ids=["nan", "inf", "after-label"],
     )
-    def test_non_finite_cell_reports_location(self, tmp_path, text, label_column, where):
+    def test_non_finite_cell_reports_location(self, tmp_path, text, label_col, where):
         path = write_text(tmp_path / "d.csv", text)
         with pytest.raises(DatasetFormatError, match=where):
-            load_dataset(DatasetSpec(path, label_column=label_column, positive_label="1"))
+            load_dataset(path, label_col=label_col, positive_label="1")
 
     @pytest.mark.parametrize(
         "label, where",
@@ -91,37 +89,43 @@ class TestLoadDataset:
     def test_bad_label_token_reports_location(self, tmp_path, label, where):
         path = write_text(tmp_path / "d.csv", f"1,2,1\n3,4,{label}\n5,6,0\n")
         with pytest.raises(DatasetFormatError, match=where):
-            load_dataset(DatasetSpec(path, positive_label="1"))
+            load_dataset(path, positive_label="1")
 
     def test_class_names_other_than_positive_map_to_minus_one(self, tmp_path):
         path = write_text(tmp_path / "d.csv", "1,2,yes\n3,4,no\n5,6,maybe\n")
-        _, labels = load_dataset(DatasetSpec(path, positive_label="yes"))
+        _, labels = load_dataset(path, positive_label="yes")
         np.testing.assert_array_equal(labels, [1, -1, -1])
 
     def test_bad_cell_reports_location(self, tmp_path):
         path = write_text(tmp_path / "d.csv", "1,2,1\n3,oops,0\n")
         with pytest.raises(DatasetFormatError, match="line 2.*column 2"):
-            load_dataset(DatasetSpec(path, positive_label="1"))
+            load_dataset(path, positive_label="1")
 
     def test_ragged_row_rejected(self, tmp_path):
         path = write_text(tmp_path / "d.csv", "1,2,1\n3,0\n")
         with pytest.raises(DatasetFormatError, match="line 2"):
-            load_dataset(DatasetSpec(path, positive_label="1"))
+            load_dataset(path, positive_label="1")
 
     def test_single_class_rejected(self, tmp_path):
         path = write_text(tmp_path / "d.csv", "1,2,1\n3,4,1\n")
         with pytest.raises(DegenerateLabelsError):
-            load_dataset(DatasetSpec(path, positive_label="1"))
+            load_dataset(path, positive_label="1")
 
     def test_too_few_columns(self, tmp_path):
         path = write_text(tmp_path / "d.csv", "1,1\n2,0\n")
         with pytest.raises(DatasetFormatError):
-            load_dataset(DatasetSpec(path, positive_label="1"))
+            load_dataset(path, positive_label="1")
+
+    @pytest.mark.parametrize("delimiter", ["", ";;"], ids=["empty", "two-chars"])
+    def test_bad_delimiter_names_it_and_the_file(self, tmp_path, delimiter):
+        path = write_text(tmp_path / "d.csv", "1,2,1\n3,4,-1\n")
+        with pytest.raises(DatasetFormatError, match=f"d.csv: delimiter {delimiter!r}"):
+            load_dataset(path, delimiter=delimiter)
 
     def test_unsigned_labels_need_positive_label(self, tmp_path):
         path = write_text(tmp_path / "d.csv", "1,2,3\n3,4,0\n")
         with pytest.raises(DatasetFormatError):
-            load_dataset(DatasetSpec(path))
+            load_dataset(path)
 
 
 class TestMatrixIO:
