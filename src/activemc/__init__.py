@@ -32,10 +32,9 @@ from .linear_model import (
     accuracy,
     auc,
     decision_values,
-    predict,
     train_ridge,
 )
-from .matrix import PartialMatrix, coherence, frobenius_norm, trace_norm
+from .matrix import PartialMatrix, coherence, trace_norm
 from .poss import BiObjectiveProblem, poss_optimize
 
 __version__ = "0.1.0"
@@ -60,7 +59,6 @@ __all__ = [
     "coherence",
     "decision_values",
     "fit",
-    "frobenius_norm",
     "grad_g",
     "informativeness",
     "init_mask",
@@ -68,7 +66,6 @@ __all__ = [
     "load_dataset",
     "make_split",
     "poss_optimize",
-    "predict",
     "reconstruction_errors",
     "run_experiment",
     "select_cost_ratio",

@@ -30,8 +30,8 @@ from .harness import (
     masked_problem,
     reconstruction_errors,
     run_experiment,
+    score_fit,
 )
-from .linear_model import accuracy, auc, decision_values
 from .matrix import PartialMatrix, coherence, trace_norm
 from .poss import BiObjectiveProblem, exhaustive_optimum, poss_optimize
 from .synthetic import labeled_lowrank
@@ -120,21 +120,16 @@ def _cmd_complete(args) -> int:
     mask = init_mask(features.shape, plan.observed_rate, plan.seed)
     obs, x_true = masked_problem(features, mask, plan.standardize)
     result = fit(obs, labels, plan.completion_config())
-
-    rel, msq = reconstruction_errors(result.x_hat, x_true)
-    scores = decision_values(result.model, x_true)
+    scores = score_fit(result, x_true, x_true, labels)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     data_io.write_matrix(out / "recovered.csv", result.x_hat, delimiter=plan.delimiter)
     with open(out / "metrics.csv", "w", newline="\n") as fh:
         fh.write("recon_rel,recon_msq,objective,train_accuracy,train_auc,converged,outer_rounds\n")
-        fh.write(
-            f"{rel:.10e},{msq:.10e},{result.objective_trace[-1]:.10e},"
-            f"{accuracy(scores, labels):.10e},{auc(scores, labels):.10e},"
-            f"{int(result.converged)},{len(result.objective_trace)}\n"
-        )
-    print(f"complete: recon_rel={rel:.6g} recon_msq={msq:.6g} -> {out}")
+        fh.write("".join(f"{value:.10e}," for value in scores)
+                 + f"{int(result.converged)},{len(result.objective_trace)}\n")
+    print(f"complete: recon_rel={scores[0]:.6g} recon_msq={scores[1]:.6g} -> {out}")
     return 0
 
 

@@ -39,7 +39,7 @@ def _resolve_label_index(col: str | int, header: list[str] | None, width: int) -
     return col % width
 
 
-def _parse_label(token: str, positive_label: str | None, where: str) -> int:
+def _parse_label(token: str, positive_label: str | int | None, where: str) -> int:
     token = token.strip()
     if positive_label is None:
         try:
@@ -67,7 +67,7 @@ def _parse_label(token: str, positive_label: str | None, where: str) -> int:
         return -1
 
 
-def load_dataset(path, *, label_col: str | int = "last", positive_label: str | None = None,
+def load_dataset(path, *, label_col: str | int = "last", positive_label: str | int | None = None,
                  delimiter: str = ",", has_header: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Parse a delimited file into (features, labels in {-1, +1}).
 

@@ -24,7 +24,7 @@ from .acquisition import (
     select_cost_ratio,
     select_top_k,
 )
-from .completion import CompletionConfig, fit
+from .completion import CompletionConfig, CompletionResult, fit
 from .errors import (
     DegenerateLabelsError,
     DimensionMismatchError,
@@ -41,6 +41,18 @@ COST_SCHEMES = ("uniform", "random")
 
 _SPLIT_RETRIES = 100
 
+# ExperimentPlan annotation text -> (accepted types, noun for the error);
+# a bool passes only where bool is listed, although it is an int
+_FIELD_TYPES = {
+    "str": ((str,), "a string"),
+    "str | None": ((str, type(None)), "a string or null"),
+    "str | int": ((str, int, np.integer), "a string or an integer"),
+    "str | int | None": ((str, int, np.integer, type(None)), "a string, an integer or null"),
+    "bool": ((bool,), "true or false"),
+    "int": ((int, np.integer), "an integer"),
+    "float": ((float, int, np.floating, np.integer), "a number"),
+}
+
 
 @dataclass
 class ExperimentPlan:
@@ -49,7 +61,7 @@ class ExperimentPlan:
     # dataset file the CLI loads before calling run_experiment
     data: str | None = None
     label_col: str | int = "last"
-    positive_label: str | None = None
+    positive_label: str | int | None = None
     delimiter: str = ","
     has_header: bool = False
     standardize: bool = True
@@ -79,15 +91,14 @@ class ExperimentPlan:
     def __post_init__(self):
         for f in fields(self):  # f.type is the annotation's text
             value = getattr(self, f.name)
-            if f.type == "int" and (isinstance(value, bool)
-                                    or not isinstance(value, (int, np.integer))):
-                raise TypeError(f"{f.name} must be an integer, got {value!r}")
-            if f.type == "bool" and not isinstance(value, bool):
-                raise TypeError(f"{f.name} must be true or false, got {value!r}")
+            accepted, noun = _FIELD_TYPES[f.type]
+            wrong_bool = isinstance(value, bool) and bool not in accepted
+            if wrong_bool or not isinstance(value, accepted):
+                raise TypeError(f"{f.name} must be {noun}, got {value!r}")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        if not 0.0 < self.train_fraction <= 1.0:
-            raise ValueError("train_fraction must lie in (0, 1]")
+        if not 0.0 < self.train_fraction < 1.0:
+            raise ValueError("train_fraction must lie in (0, 1)")
         if not 0.0 < self.observed_rate <= 1.0:
             raise ValueError("observed_rate must lie in (0, 1]")
         if self.strategy not in STRATEGIES:
@@ -202,6 +213,18 @@ def reconstruction_errors(x_hat, x_true) -> tuple[float, float]:
     else:
         rel = num / den
     return rel, num * num / (a.shape[0] * a.shape[1])
+
+
+def score_fit(result: CompletionResult, x_true, rows, labels
+              ) -> tuple[float, float, float, float, float]:
+    """``(recon_rel, recon_msq, objective, accuracy, auc)`` of one fit, in ``RoundRecord``'s order.
+
+    The recovered matrix is measured against ``x_true`` and the trained
+    model is scored on the evaluation ``rows`` and their ``labels``.
+    """
+    rel, msq = reconstruction_errors(result.x_hat, x_true)
+    scores = decision_values(result.model, rows)
+    return rel, msq, result.objective_trace[-1], accuracy(scores, labels), auc(scores, labels)
 
 
 def observed_column_stats(values: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -320,20 +343,8 @@ def run_replicate(plan: ExperimentPlan, features: np.ndarray, labels: np.ndarray
         warm = result.x_hat
         tracker.record_snapshot(result.x_hat)
 
-        rel, msq = reconstruction_errors(result.x_hat, x_true)
-        test_scores = decision_values(result.model, test_x)
-        records.append(
-            RoundRecord(
-                round=round_index,
-                cumulative_cost=cumulative_cost,
-                queried_entries=queried,
-                recon_rel=rel,
-                recon_msq=msq,
-                train_objective=result.objective_trace[-1],
-                test_accuracy=accuracy(test_scores, test.labels),
-                test_auc=auc(test_scores, test.labels),
-            )
-        )
+        scores = score_fit(result, x_true, test_x, test.labels)
+        records.append(RoundRecord(round_index, cumulative_cost, queried, *scores))
 
         try:
             batch = _select_batch(plan, tracker, obs, costs, select_rng)

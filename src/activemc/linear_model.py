@@ -105,11 +105,6 @@ def decision_values(model: LinearModel, x) -> np.ndarray:
     return a @ model.weights + model.bias
 
 
-def predict(model: LinearModel, x) -> np.ndarray:
-    """Hard labels from decision values; a score of exactly 0 maps to +1."""
-    return np.where(decision_values(model, x) >= 0.0, 1, -1)
-
-
 def accuracy(scores, labels) -> float:
     s = np.asarray(scores, dtype=float)
     y = _as_labels(labels)

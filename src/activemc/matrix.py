@@ -79,14 +79,6 @@ class PartialMatrix:
         self.values[row, col] = value
         self.mask[row, col] = True
 
-    def copy(self) -> "PartialMatrix":
-        return PartialMatrix(self.values, self.mask)
-
-
-def frobenius_norm(m) -> float:
-    a = _check_finite(_as_matrix(m))
-    return float(np.linalg.norm(a, "fro"))
-
 
 def trace_norm(m) -> float:
     """Sum of singular values (nuclear norm)."""

@@ -17,7 +17,7 @@ from activemc.completion import CompletionConfig, fit, grad_g, svt
 from activemc.data_io import write_dataset
 from activemc.harness import ExperimentPlan, init_mask, reconstruction_errors, run_experiment
 from activemc.linear_model import LinearModel, accuracy, decision_values
-from activemc.matrix import PartialMatrix, coherence, frobenius_norm, trace_norm
+from activemc.matrix import PartialMatrix, coherence, trace_norm
 from activemc.poss import BiObjectiveProblem, exhaustive_optimum, poss_optimize
 from activemc.synthetic import labeled_lowrank, margin_labeled_lowrank
 
@@ -51,12 +51,12 @@ def test_criterion_01_svt_prox_optimality():
         m = rng.standard_normal((int(rng.integers(2, 11)), int(rng.integers(2, 9))))
         tau = float(rng.uniform(0.0, 1.2) * np.linalg.svd(m, compute_uv=False)[0])
         w = svt(m, tau)
-        base = tau * trace_norm(w) + 0.5 * frobenius_norm(w - m) ** 2
+        base = tau * trace_norm(w) + 0.5 * np.linalg.norm(w - m, "fro") ** 2
         for _ in range(100):
             delta = rng.standard_normal(m.shape)
             delta *= 1e-3 / np.linalg.norm(delta)
             moved = w + delta
-            value = tau * trace_norm(moved) + 0.5 * frobenius_norm(moved - m) ** 2
+            value = tau * trace_norm(moved) + 0.5 * np.linalg.norm(moved - m, "fro") ** 2
             if base > value + 1e-12:
                 ok = False
     _report(1, "svt prox optimality under perturbation", ok, "100 pools x 100 perturbations")

@@ -5,8 +5,10 @@ import pytest
 
 from activemc import cli, harness
 from activemc.cli import cli_main
+from activemc.completion import CompletionConfig, fit
 from activemc.data_io import load_dataset, write_dataset, write_matrix
 from activemc.errors import DivergenceError
+from activemc.linear_model import accuracy, auc, decision_values
 from activemc.synthetic import labeled_lowrank, margin_labeled_lowrank
 
 
@@ -41,6 +43,23 @@ class TestComplete:
         assert (tmp_path / "a" / "recovered.csv").exists()
         metrics = (tmp_path / "a" / "metrics.csv").read_text().splitlines()
         assert metrics[0].startswith("recon_rel,recon_msq,objective")
+
+    def test_metrics_row_matches_a_direct_fit(self, tmp_path, dataset):
+        out = tmp_path / "o"
+        args = ["complete", "--data", dataset, "--observed", "0.5", "--lambda2", "2",
+                "--seed", "7", "--out", str(out)]
+        assert cli_main(args) == 0
+        features, labels = load_dataset(dataset)
+        mask = harness.init_mask(features.shape, 0.5, 7)
+        obs, x_true = harness.masked_problem(features, mask, True)
+        result = fit(obs, labels, CompletionConfig(lambda2=2.0))
+        rel, msq = harness.reconstruction_errors(result.x_hat, x_true)
+        scores = decision_values(result.model, x_true)
+        values = (rel, msq, result.objective_trace[-1], accuracy(scores, labels),
+                  auc(scores, labels))
+        row = ",".join(f"{v:.10e}" for v in values)
+        row += f",{int(result.converged)},{len(result.objective_trace)}"
+        assert (out / "metrics.csv").read_text().splitlines()[1] == row
 
     def test_unset_flags_take_plan_defaults(self, tmp_path, dataset):
         # positive_label (None), has_header (False) and standardize (True)
@@ -201,11 +220,20 @@ class TestSimulate:
         ({"has_header": "no"}, "has_header"),
         ({"rounds": True}, "rounds"),
         ({"seed": -1}, "seed"),
+        ({"data": 5}, "data"),
+        ({"positive_label": ["1"]}, "positive_label"),
+        ({"observed_rate": "0.5"}, "observed_rate"),
+        ({"lambda1": None}, "lambda1"),
+        ({"tol": True}, "tol"),
+        ({"delimiter": 1}, "delimiter"),
+        ({"label_col": True}, "label_col"),
         ({"label_col": 0, "data": "label_first.csv"}, None),
         ({"positive_label": 1}, None),
     ], ids=["rounds-float", "batch_size-float", "replicates-float", "max_inner-float",
             "poss_pool-float", "seed-float", "window-float", "has_header-string",
-            "rounds-bool", "seed-negative", "label_col-int", "positive_label-int"])
+            "rounds-bool", "seed-negative", "data-int", "positive_label-list",
+            "observed_rate-string", "lambda1-null", "tol-bool", "delimiter-int",
+            "label_col-bool", "label_col-int", "positive_label-int"])
     def test_plan_value_types(self, tmp_path, dataset, capsys, monkeypatch, overrides, field):
         monkeypatch.chdir(tmp_path)
         features, labels = load_dataset(dataset)

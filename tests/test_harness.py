@@ -133,6 +133,7 @@ class TestPlan:
             {"max_inner": 0},
             {"tol": 0.0},
             {"ridge": -1.0},
+            {"train_fraction": 1.0},
         ],
     )
     def test_invalid_rejected(self, kwargs):

@@ -11,7 +11,6 @@ from activemc.linear_model import (
     accuracy,
     auc,
     decision_values,
-    predict,
     train_ridge,
 )
 
@@ -114,14 +113,6 @@ class TestDecisionValues:
         model = LinearModel(weights=np.array([2.0, -1.0, 0.5]), bias=0.0)
         np.testing.assert_array_equal(decision_values(model, np.eye(3)), model.weights)
 
-    def test_predict_is_sign_with_positive_ties(self):
-        model = LinearModel(weights=np.array([1.0]), bias=0.0)
-        x = np.array([[2.0], [-3.0], [0.0]])
-        np.testing.assert_array_equal(predict(model, x), [1, -1, 1])
-        np.testing.assert_array_equal(
-            predict(model, x), np.where(decision_values(model, x) >= 0, 1, -1)
-        )
-
     def test_dimension_mismatch(self):
         model = LinearModel(weights=np.zeros(3))
         with pytest.raises(DimensionMismatchError):
@@ -139,6 +130,9 @@ class TestAccuracy:
 
     def test_hand_count(self):
         assert accuracy(np.array([0.3, -0.2, 0.1]), np.array([1, 1, -1])) == pytest.approx(1 / 3)
+
+    def test_zero_score_counts_as_positive(self):
+        assert accuracy(np.array([0.0, 0.0]), np.array([1, -1])) == 0.5
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
