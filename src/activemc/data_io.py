@@ -8,6 +8,7 @@ ready to plot as learning curves.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import astuple, fields
 from pathlib import Path
@@ -75,7 +76,10 @@ def load_dataset(path, *, label_col: str | int = "last", positive_label: str | i
     column name. ``positive_label`` is the raw token mapped to +1, every
     other label token maps to -1, except that an empty or non-finite
     numeric token is an error; when omitted the label column must already
-    hold -1/+1 values.
+    hold -1/+1 values. A leading UTF-8 byte-order mark is skipped.
+
+    Each row becomes a float vector as it is read, so loading holds about
+    the feature matrix plus one row of text.
     """
     path = Path(path)
     if not path.exists():
@@ -83,52 +87,57 @@ def load_dataset(path, *, label_col: str | int = "last", positive_label: str | i
     if not isinstance(delimiter, str) or len(delimiter) != 1:
         raise DatasetFormatError(f"{path}: delimiter {delimiter!r} is not one character")
 
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
-        rows = [(reader.line_num, row) for row in reader if any(c.strip() for c in row)]
-    if not rows:
-        raise DatasetFormatError(f"{path} holds no data rows")
+        rows = ((reader.line_num, row) for row in reader if any(c.strip() for c in row))
+        first = next(rows, None)
+        if first is None:
+            raise DatasetFormatError(f"{path} holds no data rows")
 
-    header = None
-    if has_header:
-        header = [c.strip() for c in rows[0][1]]
-        rows = rows[1:]
-        if not rows:
-            raise DatasetFormatError(f"{path} holds a header but no data rows")
+        header = None
+        if has_header:
+            header = [c.strip() for c in first[1]]
+            first = next(rows, None)
+            if first is None:
+                raise DatasetFormatError(f"{path} holds a header but no data rows")
 
-    width = len(rows[0][1])
-    if width < 3:
-        raise DatasetFormatError(f"{path} needs at least 2 feature columns plus a label")
-    label_idx = _resolve_label_index(label_col, header, width)
+        width = len(first[1])
+        if width < 3:
+            raise DatasetFormatError(f"{path} needs at least 2 feature columns plus a label")
+        label_idx = _resolve_label_index(label_col, header, width)
 
-    features, labels = [], []
-    for line_num, row in rows:
-        if len(row) != width:
-            raise DatasetFormatError(
-                f"{path} line {line_num}: expected {width} columns, found {len(row)}"
-            )
-        feat = []
-        for j, cell in enumerate(row):
-            if j == label_idx:
-                continue
-            try:
-                feat.append(float(cell))
-            except ValueError:
+        features, labels = [], []
+        # the first non-finite cell as (line, column, token); it is reported
+        # only once every row has parsed, so a malformed row anywhere wins
+        non_finite = None
+        for line_num, row in itertools.chain([first], rows):
+            if len(row) != width:
                 raise DatasetFormatError(
-                    f"{path} line {line_num}, column {j + 1}: non-numeric value {cell!r}"
+                    f"{path} line {line_num}: expected {width} columns, found {len(row)}"
                 )
-        labels.append(_parse_label(row[label_idx], positive_label,
-                                   f"{path} line {line_num}, column {label_idx + 1}"))
-        features.append(feat)
+            label = row.pop(label_idx)
+            try:
+                feat = np.fromiter(map(float, row), dtype=float, count=width - 1)
+            except ValueError:
+                for j, cell in enumerate(row):
+                    try:
+                        float(cell)
+                    except ValueError:
+                        raise DatasetFormatError(
+                            f"{path} line {line_num}, column {j + (j >= label_idx) + 1}: "
+                            f"non-numeric value {cell!r}"
+                        )
+            labels.append(_parse_label(label, positive_label,
+                                       f"{path} line {line_num}, column {label_idx + 1}"))
+            features.append(feat)
+            if non_finite is None and not np.isfinite(feat).all():
+                j = int(np.argmin(np.isfinite(feat)))
+                non_finite = (line_num, j + (j >= label_idx) + 1, row[j])
 
-    x = np.asarray(features, dtype=float)
-    if not np.isfinite(x).all():
-        i, j = np.argwhere(~np.isfinite(x))[0]
-        col = j + int(j >= label_idx)
-        line_num, row = rows[i]
-        raise DatasetFormatError(
-            f"{path} line {line_num}, column {col + 1}: non-finite value {row[col]!r}"
-        )
+    if non_finite is not None:
+        line_num, col, cell = non_finite
+        raise DatasetFormatError(f"{path} line {line_num}, column {col}: non-finite value {cell!r}")
+    x = np.stack(features)
     y = np.asarray(labels, dtype=int)
     if y.min() == y.max():
         raise DegenerateLabelsError(f"{path} yields a single class after label mapping")
@@ -140,10 +149,12 @@ def write_dataset(path, features: np.ndarray, labels: np.ndarray, delimiter: str
 
     Feature values are printed with enough digits to round-trip exactly.
     """
+    features = np.asarray(features, dtype=float)
+    sep = delimiter.replace("%", "%%")
+    template = sep.join(["%.17g"] * features.shape[1] + ["%d"]) + "\n"
     with open(path, "w", newline="\n") as fh:
-        for row, label in zip(np.asarray(features, dtype=float), labels):
-            cells = [f"{v:.17g}" for v in row] + [str(int(label))]
-            fh.write(delimiter.join(cells) + "\n")
+        for row, label in zip(features, labels):
+            fh.write(template % (*row.tolist(), int(label)))
 
 
 def write_matrix(path, m: np.ndarray, delimiter: str = ",") -> None:

@@ -1,5 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from activemc.data_io import (
     load_dataset,
@@ -126,6 +131,94 @@ class TestLoadDataset:
         path = write_text(tmp_path / "d.csv", "1,2,3\n3,4,0\n")
         with pytest.raises(DatasetFormatError):
             load_dataset(path)
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        # the UTF-8 byte-order mark that spreadsheet "CSV UTF-8" exports begin with
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"\xef\xbb\xbf1.5,2,1\n3,4,-1\n")
+        features, labels = load_dataset(path)
+        np.testing.assert_array_equal(features, [[1.5, 2.0], [3.0, 4.0]])
+        np.testing.assert_array_equal(labels, [1, -1])
+
+    def test_byte_order_mark_before_header(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"\xef\xbb\xbfa,b,c\n1,2,3\n-1,4,5\n")
+        features, labels = load_dataset(path, label_col="a", has_header=True)
+        np.testing.assert_array_equal(labels, [1, -1])
+        np.testing.assert_array_equal(features, [[2.0, 3.0], [4.0, 5.0]])
+
+    @pytest.mark.parametrize(
+        "line4, where",
+        [
+            ("7,oops,1", "line 4, column 2: non-numeric value 'oops'"),
+            ("7,1", "line 4: expected 3 columns, found 2"),
+            ("7,8,nan", "line 4, column 3: non-finite label 'nan'"),
+        ],
+        ids=["non-numeric", "ragged", "bad-label"],
+    )
+    def test_malformed_row_wins_over_earlier_non_finite_cell(self, tmp_path, line4, where):
+        path = write_text(tmp_path / "d.csv", f"1,2,1\nnan,4,0\n5,6,1\n{line4}\n")
+        with pytest.raises(DatasetFormatError, match=where):
+            load_dataset(path, positive_label="1")
+
+    def test_first_non_finite_cell_in_file_order_reported(self, tmp_path):
+        path = write_text(tmp_path / "d.csv", "1,2,3,1\n4,inf,-inf,0\nnan,5,6,1\n")
+        with pytest.raises(DatasetFormatError, match="line 2, column 2: non-finite value 'inf'"):
+            load_dataset(path, positive_label="1")
+
+    def test_cells_parse_as_python_float(self, tmp_path):
+        tokens = [" 1.5 ", "1_000", "+2", ".5", "5.", "1e-320", "-0", "1E3"]
+        rows = [f"{t},{t},{label}" for t, label in zip(tokens, [1, -1] * 4)]
+        path = write_text(tmp_path / "d.csv", "\n".join(rows) + "\n")
+        features, _ = load_dataset(path)
+        expected = np.array([float(t) for t in tokens])
+        assert features[:, 0].tobytes() == expected.tobytes()
+        assert np.signbit(features[tokens.index("-0"), 0])
+
+    def test_traced_peak_is_a_few_feature_matrices(self, tmp_path):
+        rng = np.random.default_rng(2)
+        labels = np.where(np.arange(2000) % 2 == 0, 1, -1)
+        write_dataset(tmp_path / "d.csv", rng.standard_normal((2000, 50)), labels)
+        tracemalloc.start()
+        try:
+            features, _ = load_dataset(tmp_path / "d.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert features.shape == (2000, 50)
+        assert peak <= 4 * features.nbytes, f"peak {peak / features.nbytes:.1f}x the array"
+
+    @settings(max_examples=100, deadline=None)
+    @given(features=hnp.arrays(
+        float, hnp.array_shapes(min_dims=2, max_dims=2, min_side=2, max_side=6),
+        elements=st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+    ))
+    @example(features=np.array([[5e-324, -2.2250738585072014e-308], [-0.0, 1.7976931348623157e308]]))
+    def test_write_then_load_is_bit_exact(self, tmp_path_factory, features):
+        path = tmp_path_factory.mktemp("round_trip") / "d.csv"
+        labels = np.where(np.arange(len(features)) % 2 == 0, 1, -1)
+        write_dataset(path, features, labels)
+        reloaded, y = load_dataset(path)
+        assert reloaded.tobytes() == features.tobytes()
+        np.testing.assert_array_equal(y, labels)
+
+
+class TestWriteDataset:
+    @pytest.mark.parametrize("delimiter", [",", "%"], ids=["comma", "percent"])
+    def test_bytes_match_per_cell_formatting(self, tmp_path, delimiter):
+        features = np.array([
+            [-0.0, np.inf, 1e308],
+            [-np.inf, np.nan, 5e-324],
+            [0.1, -2.5e-310, 1.0],
+        ])
+        labels = [np.int64(1), np.int32(-1), 1]
+        expected = "".join(
+            delimiter.join([f"{v:.17g}" for v in row] + [str(int(label))]) + "\n"
+            for row, label in zip(features, labels)
+        )
+        path = tmp_path / "d.csv"
+        write_dataset(path, features, labels, delimiter=delimiter)
+        assert path.read_bytes() == expected.encode()
 
 
 class TestMatrixIO:
