@@ -16,12 +16,18 @@ at most ``2 * lambda2 * ||w||^2 * ||dX||_F``. So each inner step makes one
 SVT and no step is ever retried. Every accepted update is guarded so the
 recorded objective can never increase.
 
-The inner loop stops once the objective's relative change falls below
-``tol``. The first two steps from each warm start carry no momentum: each
-is a plain proximal step at ``1 / L``, which lowers the objective ``F`` by
-at least ``(L / 2) * ||x+ - x||^2`` (Beck & Teboulle 2009). A relative
-change below ``tol`` there bounds the gradient mapping,
-``||L * (x - x+)|| <= sqrt(2 * L * tol * |F|)``, so either step may stop
+The inner loop stops once the objective's relative change falls below its
+tolerance. The first round's tolerance is ``tol``; each later round's is
+``max(tol, _KAPPA * change)``, where ``change`` is the previous round's
+relative objective change, the value the outer stop tests. So a block
+subproblem is solved no more finely than the alternation is moving
+(inexact block minimization: Xu & Yin 2013; Bolte, Sabach & Teboulle
+2014), and once rounds creep the tolerance is back at ``tol``. The first
+two steps from each warm start carry no momentum: each is a plain
+proximal step at ``1 / L``, which lowers the objective ``F`` by at least
+``(L / 2) * ||x+ - x||^2`` (Beck & Teboulle 2009). A relative change
+below a tolerance ``t`` there bounds the gradient mapping,
+``||L * (x - x+)|| <= sqrt(2 * L * t * |F|)``, so either step may stop
 the loop. Momentum steps do not decrease ``F`` monotonically, and stop
 only after ``_MIN_INNER_STEPS``.
 
@@ -54,6 +60,9 @@ from .matrix import PartialMatrix, _as_matrix, trace_norm
 # objective-change signal means anything, so past those two the loop never
 # stops on tolerance before this many steps.
 _MIN_INNER_STEPS = 10
+# each round after the first solves its matrix block to within this fraction
+# of the previous round's relative objective change (never below cfg.tol)
+_KAPPA = 1e-3
 # momentum starts at theta = _THETA0
 _THETA0 = 1.0
 
@@ -67,6 +76,10 @@ class CompletionConfig:
     zero: recovered matrices carry a small-singular-value tail, and a
     near-unregularized refit will interpolate the labels through it,
     inflating the weights and degrading the completion.
+
+    tol is the outer stop (a round's relative objective change) and the
+    floor of each round's inner tolerance; max_outer and max_inner cap the
+    rounds and the inner steps per round.
     """
 
     lambda1: float = 1.0
@@ -77,6 +90,14 @@ class CompletionConfig:
     ridge: float = 1.0
 
     def __post_init__(self):
+        for name in ("lambda1", "lambda2", "tol", "ridge"):
+            value = getattr(self, name)
+            if not -math.inf < value < math.inf:  # NaN fails too; any int passes
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        for name in ("max_outer", "max_inner"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.lambda1 < 0 or self.lambda2 < 0:
             raise ValueError("lambda1 and lambda2 must be nonnegative")
         if self.max_outer < 1 or self.max_inner < 1:
@@ -184,11 +205,12 @@ def svt(m, tau: float) -> np.ndarray:
     return out
 
 
-def _apg(obs, maskf, model, y, cfg, warm, tr_warm, callback=None):
+def _apg(obs, maskf, model, y, cfg, warm, tr_warm, tol, callback=None):
     """Accelerated proximal gradient on the matrix block, model fixed.
 
     ``maskf`` is ``obs.mask`` as floats and ``tr_warm`` the trace norm of
     ``warm`` (0.0 when lambda1 is 0, where no trace norm is computed).
+    ``tol`` is the relative objective change that stops the loop.
     Every step is ``x_next = svt(z - grad_g(z) / L, lambda1 / L)`` at the
     momentum point ``z``, with the Lipschitz constant ``L`` of the module
     docstring. Returns the best iterate seen (the momentum sequence itself
@@ -250,7 +272,7 @@ def _apg(obs, maskf, model, y, cfg, warm, tr_warm, callback=None):
         rel = abs(f_curr - f_next) / max(abs(f_curr), 1e-12)
         f_curr = f_next
         # beta == 0 on steps 0 and 1: see _MIN_INNER_STEPS
-        if rel < cfg.tol and (beta == 0.0 or iterations >= min(_MIN_INNER_STEPS, cfg.max_inner)):
+        if rel < tol and (beta == 0.0 or iterations >= min(_MIN_INNER_STEPS, cfg.max_inner)):
             break
 
     return best_x, best_tr, best_f, iterations
@@ -276,7 +298,7 @@ def apg_minimize(obs: PartialMatrix, model: LinearModel, labels, cfg: Completion
     _check_shapes(warm, obs, model, y)
     tr_warm = trace_norm(warm) if cfg.lambda1 else 0.0
     best_x, _, _, _ = _apg(obs, obs.mask.astype(float), model, y, cfg, warm, tr_warm,
-                           callback=callback)
+                           cfg.tol, callback=callback)
     return best_x
 
 
@@ -320,12 +342,14 @@ def fit(obs: PartialMatrix, labels, cfg: CompletionConfig | None = None,
     trace: list[float] = []
     inner_total = 0
     converged = False
+    inner_tol = cfg.tol
 
     for _ in range(cfg.max_outer):
         previous = current
 
         # _apg's value leaves out the ridge term, constant while the model is fixed
-        candidate, cand_tr, cand_f, iters = _apg(obs, maskf, model, y, cfg, x_hat, tr_hat)
+        candidate, cand_tr, cand_f, iters = _apg(obs, maskf, model, y, cfg, x_hat, tr_hat,
+                                                 inner_tol)
         inner_total += iters
         cand_obj = cand_f + _ridge_term(model, cfg)
         if cand_obj <= current:
@@ -337,9 +361,11 @@ def fit(obs: PartialMatrix, labels, cfg: CompletionConfig | None = None,
             model, current = refit, refit_obj
 
         trace.append(current)
-        if abs(previous - current) / max(abs(previous), 1e-12) < cfg.tol:
+        change = abs(previous - current) / max(abs(previous), 1e-12)
+        if change < cfg.tol:
             converged = True
             break
+        inner_tol = max(cfg.tol, _KAPPA * change)
 
     return CompletionResult(
         x_hat=x_hat,

@@ -12,6 +12,7 @@ cost.
 
 from __future__ import annotations
 
+import math
 from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
@@ -95,6 +96,9 @@ class ExperimentPlan:
             wrong_bool = isinstance(value, bool) and bool not in accepted
             if wrong_bool or not isinstance(value, accepted):
                 raise TypeError(f"{f.name} must be {noun}, got {value!r}")
+            # a comparison, not math.isfinite: an int too large for a float is finite
+            if f.type == "float" and not -math.inf < value < math.inf:
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         if not 0.0 < self.train_fraction < 1.0:

@@ -93,6 +93,12 @@ class TestComplete:
         assert capsys.readouterr().err == err
         assert not out.exists()
 
+    def test_non_finite_flag_is_an_error(self, tmp_path, dataset, capsys):
+        out = tmp_path / "o"
+        assert cli_main(["complete", "--data", dataset, "--lambda2", "nan", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: invalid config: lambda2 must be finite, got nan\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("delimiter", ["", ";;"], ids=["empty", "two-chars"])
     def test_bad_delimiter_is_an_error(self, tmp_path, dataset, capsys, delimiter):
         out = tmp_path / "o"
@@ -246,6 +252,23 @@ class TestSimulate:
             return
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: invalid config: {field} ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, text", [
+        ("tol", "NaN"),
+        ("budget_per_round", "NaN"),
+        ("lambda1", "Infinity"),
+        ("ridge", "-Infinity"),
+    ])
+    def test_non_finite_value_is_an_error(self, tmp_path, dataset, capsys, field, text):
+        # JSON parses NaN and Infinity as floats
+        path = tmp_path / "plan.json"
+        path.write_text(f'{{"data": {json.dumps(dataset)}, "{field}": {text}}}')
+        out = tmp_path / "o"
+        assert cli_main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+        value = float(text.replace("Infinity", "inf"))
+        assert capsys.readouterr().err == (
+            f"error: invalid config: {field} must be finite, got {value!r}\n")
         assert not out.exists()
 
     def test_invalid_config_key(self, tmp_path, dataset, capsys):

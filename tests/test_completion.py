@@ -15,9 +15,10 @@ from activemc.completion import (
     svt,
 )
 from activemc.errors import DimensionMismatchError
+from activemc.harness import init_mask, masked_problem, reconstruction_errors
 from activemc.linear_model import LinearModel, train_ridge
 from activemc.matrix import PartialMatrix, trace_norm
-from activemc.synthetic import lowrank_matrix
+from activemc.synthetic import labeled_lowrank, lowrank_matrix
 
 
 def zero_model(d):
@@ -66,6 +67,20 @@ class TestConfig:
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             CompletionConfig(**kwargs)
+
+    @pytest.mark.parametrize("name", ["lambda1", "lambda2", "tol", "ridge"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_finite_rejected(self, name, value):
+        # a NaN tol would disable every stop: any comparison with NaN is false
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value!r}$"):
+            CompletionConfig(**{name: value})
+
+    @pytest.mark.parametrize("name", ["max_outer", "max_inner"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True], ids=["2.5", "3.0", "True"])
+    def test_non_integer_limit_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+            CompletionConfig(**{name: value})
 
 
 class TestObjective:
@@ -610,3 +625,44 @@ class TestFit:
             fit(obs, np.array([1, 0, -1]))
         with pytest.raises(DimensionMismatchError):
             fit(obs, np.array([1, -1]))
+
+
+class TestInnerTolerance:
+    @staticmethod
+    def instance(seed):
+        rng = np.random.default_rng(seed)
+        x, y, _ = labeled_lowrank(600, 40, 5, rng)
+        mask = init_mask(x.shape, 0.6, seed)
+        obs, x_true = masked_problem(x, mask, True)
+        return obs, x_true, y
+
+    def test_round_zero_matches_apg_minimize(self, monkeypatch):
+        # the first round has no previous change to loosen its tolerance
+        obs, _, y = self.instance(0)
+        cfg = CompletionConfig()
+        steps = []
+        real = completion._apg
+
+        def counted(*args, **kwargs):
+            out = real(*args, **kwargs)
+            steps.append(out[3])
+            return out
+
+        monkeypatch.setattr(completion, "_apg", counted)
+        fit(obs, y, cfg)
+        model0 = train_ridge(obs.values, y, cfg.ridge)
+        seen = []
+        apg_minimize(obs, model0, y, cfg, obs.values, callback=seen.append)
+        assert len(steps) > 1 and 2 < len(seen) < cfg.max_inner
+        assert steps[0] == len(seen)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_fewer_inner_steps_at_about_the_same_answer(self, monkeypatch, seed):
+        obs, x_true, y = self.instance(seed)
+        inexact = fit(obs, y)
+        monkeypatch.setattr(completion, "_KAPPA", 0.0)  # every round solved to tol
+        exact = fit(obs, y)
+        assert inexact.inner_iterations <= 0.8 * exact.inner_iterations
+        assert inexact.objective_trace[-1] == pytest.approx(exact.objective_trace[-1], rel=0.005)
+        recon = reconstruction_errors(inexact.x_hat, x_true)[0]
+        assert recon == pytest.approx(reconstruction_errors(exact.x_hat, x_true)[0], rel=0.05)

@@ -140,6 +140,15 @@ class TestPlan:
         with pytest.raises(ValueError):
             ExperimentPlan(**kwargs)
 
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ExperimentPlan)
+                                      if f.type == "float"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_finite_float_rejected(self, name, value):
+        # a NaN budget buys nothing, so every replicate would end after round 1
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value!r}$"):
+            ExperimentPlan(**{name: value})
+
 
 class TestRunExperiment:
     def plan(self, **kwargs):
