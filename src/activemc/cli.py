@@ -119,7 +119,7 @@ def _cmd_complete(args) -> int:
     features, labels = _load(plan)
     mask = init_mask(features.shape, plan.observed_rate, plan.seed)
     obs, x_true = masked_problem(features, mask, plan.standardize)
-    result = fit(obs, labels, plan.completion_config())
+    result = fit(obs, labels, plan)
     scores = score_fit(result, x_true, x_true, labels)
 
     out = Path(args.out)

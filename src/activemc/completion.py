@@ -46,7 +46,7 @@ solver carries the trace norm of every iterate instead of recomputing it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -67,6 +67,19 @@ _KAPPA = 1e-3
 _THETA0 = 1.0
 
 
+# field annotation text -> (accepted types, noun for the error); a bool
+# passes only where bool is listed, although it is an int
+_FIELD_TYPES = {
+    "str": ((str,), "a string"),
+    "str | None": ((str, type(None)), "a string or null"),
+    "str | int": ((str, int, np.integer), "a string or an integer"),
+    "str | int | None": ((str, int, np.integer, type(None)), "a string, an integer or null"),
+    "bool": ((bool,), "true or false"),
+    "int": ((int, np.integer), "an integer"),
+    "float": ((float, int, np.floating, np.integer), "a number"),
+}
+
+
 @dataclass(frozen=True)
 class CompletionConfig:
     """Solver hyperparameters.
@@ -80,6 +93,9 @@ class CompletionConfig:
     tol is the outer stop (a round's relative objective change) and the
     floor of each round's inner tolerance; max_outer and max_inner cap the
     rounds and the inner steps per round.
+
+    Every field, a subclass's too (``harness.ExperimentPlan`` is one), is
+    type-checked against its annotation, and a number must be finite.
     """
 
     lambda1: float = 1.0
@@ -90,14 +106,15 @@ class CompletionConfig:
     ridge: float = 1.0
 
     def __post_init__(self):
-        for name in ("lambda1", "lambda2", "tol", "ridge"):
-            value = getattr(self, name)
-            if not -math.inf < value < math.inf:  # NaN fails too; any int passes
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        for name in ("max_outer", "max_inner"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for f in fields(self):  # f.type is the annotation's text
+            value = getattr(self, f.name)
+            accepted, noun = _FIELD_TYPES[f.type]
+            wrong_bool = isinstance(value, bool) and bool not in accepted
+            if wrong_bool or not isinstance(value, accepted):
+                raise TypeError(f"{f.name} must be {noun}, got {value!r}")
+            # a comparison, not math.isfinite: an int too large for a float is finite
+            if f.type == "float" and not -math.inf < value < math.inf:
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.lambda1 < 0 or self.lambda2 < 0:
             raise ValueError("lambda1 and lambda2 must be nonnegative")
         if self.max_outer < 1 or self.max_inner < 1:

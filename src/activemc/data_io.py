@@ -162,7 +162,7 @@ def write_matrix(path, m: np.ndarray, delimiter: str = ",") -> None:
 
 
 def load_matrix(path, delimiter: str = ",") -> np.ndarray:
-    return np.atleast_2d(np.loadtxt(path, delimiter=delimiter))
+    return np.loadtxt(path, delimiter=delimiter, ndmin=2)
 
 
 def _format_value(value) -> str:

@@ -12,8 +12,7 @@ cost.
 
 from __future__ import annotations
 
-import math
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -42,22 +41,14 @@ COST_SCHEMES = ("uniform", "random")
 
 _SPLIT_RETRIES = 100
 
-# ExperimentPlan annotation text -> (accepted types, noun for the error);
-# a bool passes only where bool is listed, although it is an int
-_FIELD_TYPES = {
-    "str": ((str,), "a string"),
-    "str | None": ((str, type(None)), "a string or null"),
-    "str | int": ((str, int, np.integer), "a string or an integer"),
-    "str | int | None": ((str, int, np.integer, type(None)), "a string, an integer or null"),
-    "bool": ((bool,), "true or false"),
-    "int": ((int, np.integer), "an integer"),
-    "float": ((float, int, np.floating, np.integer), "a number"),
-}
+@dataclass(frozen=True)
+class ExperimentPlan(CompletionConfig):
+    """Flat experiment configuration; mirrors the JSON config files and ``complete``'s flags.
 
-
-@dataclass
-class ExperimentPlan:
-    """Flat experiment configuration; mirrors the JSON config files and ``complete``'s flags."""
+    A plan is a ``CompletionConfig`` (the six solver fields, their defaults
+    and checks) plus the data, split, acquisition and replication fields
+    below, so it can be passed to ``fit`` as it is.
+    """
 
     # dataset file the CLI loads before calling run_experiment
     data: str | None = None
@@ -78,27 +69,12 @@ class ExperimentPlan:
     cost_scheme: str = "uniform"
     poss_pool: int = 200
     poss_iterations: int = 5000
-    # completion solver
-    lambda1: float = 1.0
-    lambda2: float = 1.0
-    ridge: float = 1.0
-    tol: float = 1e-6
-    max_inner: int = 300
-    max_outer: int = 10
     # replication
     seed: int = 0
     replicates: int = 10
 
     def __post_init__(self):
-        for f in fields(self):  # f.type is the annotation's text
-            value = getattr(self, f.name)
-            accepted, noun = _FIELD_TYPES[f.type]
-            wrong_bool = isinstance(value, bool) and bool not in accepted
-            if wrong_bool or not isinstance(value, accepted):
-                raise TypeError(f"{f.name} must be {noun}, got {value!r}")
-            # a comparison, not math.isfinite: an int too large for a float is finite
-            if f.type == "float" and not -math.inf < value < math.inf:
-                raise ValueError(f"{f.name} must be finite, got {value!r}")
+        super().__post_init__()  # every field's type, then the solver ranges
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         if not 0.0 < self.train_fraction < 1.0:
@@ -123,17 +99,6 @@ class ExperimentPlan:
             raise ValueError("poss_pool must be at least 1")
         if self.poss_iterations < 1:
             raise ValueError("poss_iterations must be at least 1")
-        self.completion_config()  # runs the solver settings' own checks
-
-    def completion_config(self) -> CompletionConfig:
-        return CompletionConfig(
-            lambda1=self.lambda1,
-            lambda2=self.lambda2,
-            tol=self.tol,
-            max_inner=self.max_inner,
-            max_outer=self.max_outer,
-            ridge=self.ridge,
-        )
 
 
 @dataclass
@@ -329,7 +294,6 @@ def run_replicate(plan: ExperimentPlan, features: np.ndarray, labels: np.ndarray
 
     obs, x_true, test_x = masked_problem(train.features, mask, plan.standardize, test.features)
     tracker = InformativenessTracker(plan.window)
-    cfg = plan.completion_config()
     select_rng = np.random.default_rng(select_ss)
 
     warm = None
@@ -340,7 +304,7 @@ def run_replicate(plan: ExperimentPlan, features: np.ndarray, labels: np.ndarray
 
     for round_index in range(1, plan.rounds + 1):
         try:
-            result = fit(obs, train.labels, cfg, warm_start=warm)
+            result = fit(obs, train.labels, plan, warm_start=warm)
         except DivergenceError as exc:
             raise DivergenceError(f"replicate {replicate}, round {round_index}: {exc}",
                                   exc.iteration) from exc

@@ -46,7 +46,8 @@ class PartialMatrix:
 
     Unobserved cells of ``values`` are pinned to zero at construction, so
     the stored grid is always the masked projection of the data that
-    produced it and unobserved ground truth can never leak through.
+    produced it and unobserved ground truth can never leak through. An
+    observed value must be finite, at construction as in ``observe``.
     Observation is one-way: a cell can be revealed once and never hidden.
     """
 
@@ -57,6 +58,10 @@ class PartialMatrix:
         self.values = _as_matrix(self.values).copy()
         self.mask = _as_mask(self.mask, self.values.shape).copy()
         self.values[~self.mask] = 0.0
+        finite = np.isfinite(self.values)
+        if not finite.all():  # only observed cells are left to fail
+            row, col = np.argwhere(~finite)[0]
+            raise NumericError(f"non-finite value for entry ({row}, {col})")
 
     @property
     def n_rows(self) -> int:

@@ -48,8 +48,8 @@ class BiObjectiveProblem:
             raise ValueError("all candidate costs must be positive")
         if n and not (self.informativeness >= 0).all():
             raise ValueError("informativeness must be nonnegative")
-        if self.budget <= 0:
-            raise ValueError("budget must be positive")
+        if not 0 < self.budget < math.inf:  # NaN fails too
+            raise ValueError("budget must be positive and finite")
 
     def __len__(self) -> int:
         return len(self.candidates)

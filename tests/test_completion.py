@@ -79,7 +79,14 @@ class TestConfig:
     @pytest.mark.parametrize("name", ["max_outer", "max_inner"])
     @pytest.mark.parametrize("value", [2.5, 3.0, True], ids=["2.5", "3.0", "True"])
     def test_non_integer_limit_rejected(self, name, value):
-        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+        with pytest.raises(TypeError, match=f"^{name} must be an integer, got {value!r}$"):
+            CompletionConfig(**{name: value})
+
+    @pytest.mark.parametrize("name", ["lambda1", "lambda2", "tol", "ridge"])
+    @pytest.mark.parametrize("value", ["1", None, True], ids=["str", "None", "True"])
+    def test_non_number_rejected(self, name, value):
+        # the message names the field; a bool is not a number here
+        with pytest.raises(TypeError, match=f"^{name} must be a number, got {value!r}$"):
             CompletionConfig(**{name: value})
 
 

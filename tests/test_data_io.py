@@ -224,10 +224,12 @@ class TestWriteDataset:
 class TestMatrixIO:
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(1)
-        m = rng.standard_normal((4, 6))
-        path = tmp_path / "m.csv"
-        write_matrix(path, m)
-        np.testing.assert_array_equal(load_matrix(path), m)
+        # a one-column file must not come back transposed
+        for shape in [(4, 6), (5, 1), (1, 5)]:
+            m = rng.standard_normal(shape)
+            path = tmp_path / "m.csv"
+            write_matrix(path, m)
+            np.testing.assert_array_equal(load_matrix(path), m)
 
 
 class TestRecordWriting:

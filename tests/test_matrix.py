@@ -79,6 +79,16 @@ class TestPartialMatrix:
         with pytest.raises(ValueError):
             pm.observe(0, 1, 6.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_observed_value_rejected(self, bad):
+        # the same error observe() raises; unobserved cells may hold anything
+        values = np.array([[1.0, bad, 2.0], [bad, 3.0, bad]])
+        mask = np.array([[True, False, True], [False, True, True]])
+        with pytest.raises(NumericError, match=r"^non-finite value for entry \(1, 2\)$"):
+            PartialMatrix(values, mask)
+        pm = PartialMatrix(values, mask & np.isfinite(values))
+        np.testing.assert_array_equal(pm.values, [[1.0, 0.0, 2.0], [0.0, 3.0, 0.0]])
+
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             PartialMatrix(np.ones((2, 2)), np.ones((2, 3), bool))

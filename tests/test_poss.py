@@ -276,3 +276,9 @@ class TestProblemValidation:
     def test_negative_informativeness_rejected(self):
         with pytest.raises(ValueError):
             small_problem([-1.0], [1.0], 1.0)
+
+    @pytest.mark.parametrize("budget", [0.0, -1.0, math.nan, math.inf])
+    def test_nonpositive_or_non_finite_budget_rejected(self, budget):
+        # a NaN or infinite budget used to reach default_iterations' int()
+        with pytest.raises(ValueError, match="^budget must be positive and finite$"):
+            small_problem([1.0], [1.0], budget)
