@@ -11,7 +11,6 @@ from .bounds import BoundParams, Lemma3Result, lemma3_check, theorem1_bound
 from .completion import (
     CompletionConfig,
     CompletionResult,
-    apg_minimize,
     fit,
     grad_g,
     svt,
@@ -54,7 +53,6 @@ __all__ = [
     "PartialMatrix",
     "RoundRecord",
     "accuracy",
-    "apg_minimize",
     "auc",
     "coherence",
     "decision_values",

@@ -83,6 +83,8 @@ def lemma3_check(a, b) -> Lemma3Result:
 
 def lemma3_sweep(trials: int, rng: np.random.Generator, max_dim: int = 20) -> tuple[int, float]:
     """Random-pair sweep; returns (violations, worst lhs/rhs ratio)."""
+    if trials < 1 or max_dim < 1:
+        raise ValueError(f"trials and max_dim must be at least 1, got {trials} and {max_dim}")
     violations = 0
     worst = 0.0
     for _ in range(trials):

@@ -125,10 +125,10 @@ def _cmd_complete(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     data_io.write_matrix(out / "recovered.csv", result.x_hat, delimiter=plan.delimiter)
-    with open(out / "metrics.csv", "w", newline="\n") as fh:
-        fh.write("recon_rel,recon_msq,objective,train_accuracy,train_auc,converged,outer_rounds\n")
-        fh.write("".join(f"{value:.10e}," for value in scores)
-                 + f"{int(result.converged)},{len(result.objective_trace)}\n")
+    data_io.write_rows(out / "metrics.csv",
+                       ("recon_rel", "recon_msq", "objective", "train_accuracy", "train_auc",
+                        "converged", "outer_rounds"),
+                       [(*scores, int(result.converged), len(result.objective_trace))])
     print(f"complete: recon_rel={scores[0]:.6g} recon_msq={scores[1]:.6g} -> {out}")
     return 0
 
@@ -157,11 +157,15 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _require_positive(args, *names) -> None:
+    """Reject a count flag below 1 before it can make a run that checks nothing."""
+    for name in names:
+        if getattr(args, name) < 1:
+            raise ValueError(f"--{name.replace('_', '-')} must be at least 1")
+
+
 def _cmd_bench_poss(args) -> int:
-    if args.trials < 1:
-        raise ValueError("--trials must be at least 1")
-    if args.pool < 1:
-        raise ValueError("--pool must be at least 1")
+    _require_positive(args, "trials", "pool")
     if args.pool > 20:
         raise ValueError("--pool must be at most 20 for exhaustive comparison")
     rng = np.random.default_rng(args.seed)
@@ -177,7 +181,7 @@ def _cmd_bench_poss(args) -> int:
             budget=0.5 * float(costs.sum()),
         )
         chosen = poss_optimize(problem, rng=rng)
-        achieved = sum(gains[problem.candidates.index(entry)] for entry in chosen)
+        achieved = float(sum(gains[problem.candidates.index(entry)] for entry in chosen))
         optimum, _ = exhaustive_optimum(problem)
         match = int(abs(achieved - optimum) <= 1e-9)
         agreements += match
@@ -185,15 +189,13 @@ def _cmd_bench_poss(args) -> int:
 
     rate = agreements / args.trials
     if args.out:
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write("trial,poss_value,optimal_value,match\n")
-            for trial, achieved, optimum, match in rows:
-                fh.write(f"{trial},{achieved:.10e},{optimum:.10e},{match}\n")
+        data_io.write_rows(args.out, ("trial", "poss_value", "optimal_value", "match"), rows)
     print(f"bench-poss: agreement {agreements}/{args.trials} = {rate:.3f}")
     return 0
 
 
 def _cmd_bound(args) -> int:
+    _require_positive(args, "trials")
     held = 0
     for trial in range(args.trials):
         rng = np.random.default_rng(np.random.SeedSequence([args.seed, trial]))
@@ -227,6 +229,7 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_lemma3(args) -> int:
+    _require_positive(args, "trials", "max_dim")
     rng = np.random.default_rng(args.seed)
     violations, worst = lemma3_sweep(args.trials, rng, max_dim=args.max_dim)
     print(f"lemma3: {violations}/{args.trials} violations, worst lhs/rhs ratio {worst:.6f}")

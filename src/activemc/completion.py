@@ -16,6 +16,10 @@ at most ``2 * lambda2 * ||w||^2 * ||dX||_F``. So each inner step makes one
 SVT and no step is ever retried. Every accepted update is guarded so the
 recorded objective can never increase.
 
+``fit`` is the solver's one entry point; ``objective``, ``grad_g`` and
+``svt`` (the trace norm's proximal map) are the public references its
+fused inner loop is checked against.
+
 The inner loop stops once the objective's relative change falls below its
 tolerance. The first round's tolerance is ``tol``; each later round's is
 ``max(tol, _KAPPA * change)``, where ``change`` is the previous round's
@@ -222,7 +226,7 @@ def svt(m, tau: float) -> np.ndarray:
     return out
 
 
-def _apg(obs, maskf, model, y, cfg, warm, tr_warm, tol, callback=None):
+def _apg(obs, maskf, model, y, cfg, warm, tr_warm, tol):
     """Accelerated proximal gradient on the matrix block, model fixed.
 
     ``maskf`` is ``obs.mask`` as floats and ``tr_warm`` the trace norm of
@@ -276,9 +280,6 @@ def _apg(obs, maskf, model, y, cfg, warm, tr_warm, tol, callback=None):
             raise DivergenceError(f"non-finite objective at inner step {k}", k)
         iterations += 1
 
-        if callback is not None:
-            callback({"iteration": k, "l": l, "objective": f_next})
-
         th = theta_curr
         theta_prev, theta_curr = th, 0.5 * (math.sqrt(th**4 + 4 * th**2) - th**2)
         x_prev, x_curr = x_curr, x_next
@@ -289,34 +290,10 @@ def _apg(obs, maskf, model, y, cfg, warm, tr_warm, tol, callback=None):
         rel = abs(f_curr - f_next) / max(abs(f_curr), 1e-12)
         f_curr = f_next
         # beta == 0 on steps 0 and 1: see _MIN_INNER_STEPS
-        if rel < tol and (beta == 0.0 or iterations >= min(_MIN_INNER_STEPS, cfg.max_inner)):
+        if rel < tol and (beta == 0.0 or iterations >= _MIN_INNER_STEPS):
             break
 
     return best_x, best_tr, best_f, iterations
-
-
-def apg_minimize(obs: PartialMatrix, model: LinearModel, labels, cfg: CompletionConfig,
-                 warm_start, callback=None) -> np.ndarray:
-    """Minimize the objective over the matrix with the model held fixed.
-
-    ``callback``, when given, is invoked once per inner step with a dict
-    ``{"iteration", "l", "objective"}``: the step index, the Lipschitz
-    constant ``L`` (the step is ``1 / L``, the same for every step of the
-    call), and the objective value at the new iterate.
-
-    The loop stops when the objective changes by less than ``cfg.tol``
-    relative: on step 0 or 1, which carry no momentum (so restarting from
-    a converged answer costs one or two steps), or from step
-    ``_MIN_INNER_STEPS`` on. A stop on step 0 or 1 bounds the gradient
-    mapping by ``sqrt(2 * L * tol * |F|)``.
-    """
-    warm = _as_matrix(warm_start)
-    y = _as_labels(labels)
-    _check_shapes(warm, obs, model, y)
-    tr_warm = trace_norm(warm) if cfg.lambda1 else 0.0
-    best_x, _, _, _ = _apg(obs, obs.mask.astype(float), model, y, cfg, warm, tr_warm,
-                           cfg.tol, callback=callback)
-    return best_x
 
 
 def _ridge_term(model, cfg) -> float:

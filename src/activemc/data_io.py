@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DatasetFormatError, DegenerateLabelsError
+from .errors import DatasetFormatError, DegenerateLabelsError, DimensionMismatchError
 from .harness import RoundRecord
 
 RECORD_COLUMNS = tuple(f.name for f in fields(RoundRecord))
@@ -148,12 +148,20 @@ def write_dataset(path, features: np.ndarray, labels: np.ndarray, delimiter: str
     """Write features with the labels appended as the last column.
 
     Feature values are printed with enough digits to round-trip exactly.
+    Each feature row needs one label, a whole number; none is dropped or rounded.
     """
     features = np.asarray(features, dtype=float)
+    y = np.asarray(labels, dtype=float)
+    if features.ndim != 2 or y.shape != features.shape[:1]:
+        raise DimensionMismatchError(f"features of shape {features.shape} need one label per "
+                                     f"row, got labels of shape {y.shape}")
+    bad = np.flatnonzero(~np.isfinite(y) | (y != np.trunc(y)))
+    if bad.size:
+        raise ValueError(f"label {float(y[bad[0]])!r} at row {bad[0]} is not a whole number")
     sep = delimiter.replace("%", "%%")
     template = sep.join(["%.17g"] * features.shape[1] + ["%d"]) + "\n"
     with open(path, "w", newline="\n") as fh:
-        for row, label in zip(features, labels):
+        for row, label in zip(features, y):
             fh.write(template % (*row.tolist(), int(label)))
 
 
@@ -171,10 +179,15 @@ def _format_value(value) -> str:
     return f"{float(value):.10e}"
 
 
-def write_records(path, records: list[RoundRecord]) -> None:
-    """One row per round, fixed column order, deterministic formatting."""
+def write_rows(path, header, rows) -> None:
+    """A comma-delimited table: integers as written, floats to ten significant digits."""
     with open(path, "w", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RECORD_COLUMNS)
-        for rec in records:
-            writer.writerow([_format_value(v) for v in astuple(rec)])
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_format_value(v) for v in row])
+
+
+def write_records(path, records: list[RoundRecord]) -> None:
+    """One row per round, fixed column order, deterministic formatting."""
+    write_rows(path, RECORD_COLUMNS, map(astuple, records))

@@ -32,7 +32,7 @@ from .errors import (
     PoolExhausted,
     StratificationError,
 )
-from .linear_model import LabeledSplit, accuracy, auc, decision_values
+from .linear_model import LabeledSplit, _as_labels, accuracy, auc, decision_values
 from .matrix import PartialMatrix, _as_matrix
 from .poss import BiObjectiveProblem, poss_optimize
 
@@ -40,13 +40,15 @@ STRATEGIES = ("variance", "cost_ratio", "poss", "random")
 COST_SCHEMES = ("uniform", "random")
 
 _SPLIT_RETRIES = 100
+# share of each replicate's rows that train; the rest score the model
+_TRAIN_FRACTION = 0.7
 
 @dataclass(frozen=True)
 class ExperimentPlan(CompletionConfig):
     """Flat experiment configuration; mirrors the JSON config files and ``complete``'s flags.
 
     A plan is a ``CompletionConfig`` (the six solver fields, their defaults
-    and checks) plus the data, split, acquisition and replication fields
+    and checks) plus the data, masking, acquisition and replication fields
     below, so it can be passed to ``fit`` as it is.
     """
 
@@ -57,8 +59,7 @@ class ExperimentPlan(CompletionConfig):
     delimiter: str = ","
     has_header: bool = False
     standardize: bool = True
-    # split and masking
-    train_fraction: float = 0.7
+    # masking
     observed_rate: float = 0.6
     # acquisition
     strategy: str = "variance"
@@ -77,8 +78,6 @@ class ExperimentPlan(CompletionConfig):
         super().__post_init__()  # every field's type, then the solver ranges
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError("train_fraction must lie in (0, 1)")
         if not 0.0 < self.observed_rate <= 1.0:
             raise ValueError("observed_rate must lie in (0, 1]")
         if self.strategy not in STRATEGIES:
@@ -128,7 +127,7 @@ def make_split(features, labels, train_fraction: float, seed) -> tuple[LabeledSp
     side (train_fraction close to 1) is allowed and skips the class check.
     """
     x = _as_matrix(features)
-    y = np.asarray(labels, dtype=int)
+    y = _as_labels(labels).astype(int)
     if x.shape[0] != y.shape[0]:
         raise DimensionMismatchError("feature rows and labels disagree in length")
     if not 0.0 < train_fraction <= 1.0:
@@ -282,7 +281,7 @@ def run_replicate(plan: ExperimentPlan, features: np.ndarray, labels: np.ndarray
     """One seeded replicate of the closed loop."""
     split_ss, mask_ss, cost_ss, select_ss = _replicate_streams(plan.seed, replicate)
 
-    train, test = make_split(features, labels, plan.train_fraction, split_ss)
+    train, test = make_split(features, labels, _TRAIN_FRACTION, split_ss)
     mask = init_mask(train.features.shape, plan.observed_rate, mask_ss)
 
     d = train.features.shape[1]
@@ -347,7 +346,6 @@ def run_experiment(plan: ExperimentPlan, features, labels) -> ExperimentResult:
     the arrays (``activemc simulate`` does, with ``data_io.load_dataset``).
     """
     features = _as_matrix(features)
-    labels = np.asarray(labels, dtype=int)
 
     all_records: list[list[RoundRecord]] = []
     all_queries: list[list[list[tuple[int, int]]]] = []

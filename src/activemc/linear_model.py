@@ -46,8 +46,7 @@ class LabeledSplit:
 
     def __post_init__(self):
         self.features = _as_matrix(self.features)
-        self.labels = np.asarray(self.labels, dtype=int)
-        _as_labels(self.labels)
+        self.labels = _as_labels(self.labels).astype(int)
         if self.features.shape[0] != self.labels.shape[0]:
             raise DimensionMismatchError("feature rows and labels disagree in length")
 

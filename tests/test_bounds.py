@@ -72,6 +72,11 @@ class TestLemma3:
         with pytest.raises(ValueError):
             lemma3_check(np.eye(3), np.eye(4))
 
+    @pytest.mark.parametrize("trials,max_dim", [(0, 20), (-1, 20), (10, 0)])
+    def test_sweep_needs_a_trial_and_a_dimension(self, trials, max_dim):
+        with pytest.raises(ValueError, match="^trials and max_dim must be at least 1"):
+            lemma3_sweep(trials, np.random.default_rng(0), max_dim=max_dim)
+
     def test_random_sweep_has_no_violations(self):
         violations, worst = lemma3_sweep(200, np.random.default_rng(1), max_dim=20)
         assert violations == 0

@@ -272,10 +272,13 @@ class TestSimulate:
         assert not out.exists()
 
     def test_invalid_config_key(self, tmp_path, dataset, capsys):
-        path = tmp_path / "plan.json"
-        path.write_text(json.dumps({"data": dataset, "no_such_knob": 1}))
-        assert cli_main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) != 0
-        assert "invalid config" in capsys.readouterr().err
+        # the train share is a harness constant, not a plan field
+        for key in ("no_such_knob", "train_fraction"):
+            path = tmp_path / "plan.json"
+            path.write_text(json.dumps({"data": dataset, key: 0.7}))
+            assert cli_main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) != 0
+            assert capsys.readouterr().err.startswith("error: invalid config: ")
+            assert not (tmp_path / "o").exists()
 
 
 class TestSmallCommands:
@@ -298,6 +301,17 @@ class TestSmallCommands:
     def test_bench_poss_bad_counts_rejected(self, capsys, args, message):
         assert cli_main(["bench-poss", *args]) == 1
         assert capsys.readouterr().err.strip() == f"error: {message}"
+
+    @pytest.mark.parametrize("args,message", [
+        (["bound", "--trials", "-1"], "--trials must be at least 1"),
+        (["lemma3", "--trials", "0"], "--trials must be at least 1"),
+        (["lemma3", "--max-dim", "0"], "--max-dim must be at least 1"),
+    ], ids=["bound-trials", "lemma3-trials", "lemma3-max-dim"])
+    def test_check_commands_bad_counts_rejected(self, capsys, args, message):
+        # a run of no trials would report a pass after checking nothing
+        assert cli_main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.err.strip() == f"error: {message}" and captured.out == ""
 
     def test_bench_poss_reference_run_agrees(self, capsys):
         assert cli_main(["bench-poss", "--pool", "10", "--trials", "100", "--seed", "3"]) == 0

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -8,7 +10,6 @@ from activemc import completion
 from activemc.completion import (
     CompletionConfig,
     _svt_with_sigma,
-    apg_minimize,
     fit,
     grad_g,
     objective,
@@ -16,7 +17,7 @@ from activemc.completion import (
 )
 from activemc.errors import DimensionMismatchError
 from activemc.harness import init_mask, masked_problem, reconstruction_errors
-from activemc.linear_model import LinearModel, train_ridge
+from activemc.linear_model import LinearModel, _as_labels, train_ridge
 from activemc.matrix import PartialMatrix, trace_norm
 from activemc.synthetic import labeled_lowrank, lowrank_matrix
 
@@ -44,6 +45,15 @@ def svt_reference(m, tau):
 def assert_rel_close(actual, desired, rtol):
     scale = np.linalg.norm(desired)
     assert np.linalg.norm(np.asarray(actual) - desired) <= rtol * scale
+
+
+def solve(obs, model, y, cfg, warm):
+    """One inner solve at ``cfg.tol``: (best x, objective without the ridge term, steps)."""
+    warm = np.asarray(warm, dtype=float)
+    tr_warm = trace_norm(warm) if cfg.lambda1 else 0.0
+    best_x, _, best_f, steps = completion._apg(obs, obs.mask.astype(float), model,
+                                               _as_labels(y), cfg, warm, tr_warm, cfg.tol)
+    return best_x, best_f, steps
 
 
 class TestConfig:
@@ -257,13 +267,15 @@ class TestSvtProperties:
 
 
 class TestApgMinimize:
+    """One accelerated proximal gradient solve of the matrix block, model fixed."""
+
     def test_fully_observed_unpenalized_recovers_data(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((6, 4))
         obs = PartialMatrix(x, np.ones_like(x, dtype=bool))
         cfg = CompletionConfig(lambda1=0.0, lambda2=0.0)
         y = np.where(rng.random(6) < 0.5, 1, -1)
-        out = apg_minimize(obs, zero_model(4), y, cfg, warm_start=np.zeros_like(x))
+        out, _, _ = solve(obs, zero_model(4), y, cfg, np.zeros_like(x))
         np.testing.assert_allclose(out, x, atol=1e-5)
 
     def test_huge_lambda1_shrinks_to_zero(self):
@@ -274,7 +286,7 @@ class TestApgMinimize:
         lam = np.linalg.norm(obs.values, "fro") ** 2 + 10.0
         cfg = CompletionConfig(lambda1=lam, lambda2=0.0)
         y = np.where(rng.random(5) < 0.5, 1, -1)
-        out = apg_minimize(obs, zero_model(4), y, cfg, warm_start=obs.values.copy())
+        out, _, _ = solve(obs, zero_model(4), y, cfg, obs.values)
         assert np.linalg.norm(out, "fro") < 1e-8
 
     def test_synthetic_recovery_beats_zero_and_descends(self):
@@ -285,7 +297,7 @@ class TestApgMinimize:
         cfg = CompletionConfig(lambda1=1.0, lambda2=0.0)
         y = np.where(rng.random(20) < 0.5, 1, -1)
         warm = obs.values.copy()
-        out = apg_minimize(obs, zero_model(10), y, cfg, warm_start=warm)
+        out, _, _ = solve(obs, zero_model(10), y, cfg, warm)
 
         err = np.linalg.norm(out - x, "fro") / np.linalg.norm(x, "fro")
         assert err < 1.0  # better than the all-zero recovery
@@ -300,35 +312,52 @@ class TestApgMinimize:
         x, obs, y, model = random_instance(rng, n=8, d=5)
         cfg = CompletionConfig(lambda1=0.5, lambda2=1.0, max_inner=1)
         warm = obs.values.copy()
-        out = apg_minimize(obs, model, y, cfg, warm_start=warm)
+        out, _, steps = solve(obs, model, y, cfg, warm)
+        assert steps == 1
         assert objective(out, obs, model, y, cfg) < objective(warm, obs, model, y, cfg)
 
         lip = 1.0 + 2.0 * cfg.lambda2 * float(model.weights @ model.weights)
         step = warm - grad_g(warm, obs, model, y, cfg.lambda2) / lip
         assert_rel_close(out, svt(step, cfg.lambda1 / lip), 1e-12)
 
-    def test_steps_follow_the_fista_recursion(self):
+    def test_steps_follow_the_fista_recursion(self, monkeypatch):
         # the fused gradient point carries the momentum through x @ w; the
         # reference builds every step from the public grad_g and svt
         rng = np.random.default_rng(9)
         x, obs, y, model = random_instance(rng, n=9, d=6)
         cfg = CompletionConfig(lambda1=0.5, lambda2=1.0, ridge=0.0, max_inner=8)
         warm = obs.values.copy()
-        seen = []
-        apg_minimize(obs, model, y, cfg, warm_start=warm, callback=seen.append)
+        seen = []  # (gradient point, threshold, SVT output) of every step
+        real = completion._svt_with_sigma
+
+        def recorded(m, tau):
+            out = real(m, tau)
+            seen.append((m.copy(), tau, out[0].copy()))  # the point buffer is reused
+            return out
+
+        # the reference's svt must not run through the recorder
+        with monkeypatch.context() as patch:
+            patch.setattr(completion, "_svt_with_sigma", recorded)
+            best_x, best_f, steps = solve(obs, model, y, cfg, warm)
+        assert steps == len(seen) == cfg.max_inner
 
         lip = 1.0 + 2.0 * cfg.lambda2 * float(model.weights @ model.weights)
         x_prev = x_curr = warm
         theta_prev = theta = 1.0
-        for k, info in enumerate(seen):
-            assert info["iteration"] == k and info["l"] == lip
+        values = [objective(warm, obs, model, y, cfg)]
+        for point, tau, out in seen:
             z = x_curr + theta * (1.0 / theta_prev - 1.0) * (x_curr - x_prev)
             step = z - grad_g(z, obs, model, y, cfg.lambda2) / lip
             x_prev, x_curr = x_curr, svt(step, cfg.lambda1 / lip)
             theta_prev, theta = theta, 0.5 * (np.sqrt(theta**4 + 4 * theta**2) - theta**2)
-            expected = objective(x_curr, obs, model, y, cfg)
-            assert info["objective"] == pytest.approx(expected, rel=1e-10, abs=0)
-        assert len(seen) == cfg.max_inner
+            assert tau == cfg.lambda1 / lip
+            assert_rel_close(point, step, 1e-10)
+            assert_rel_close(out, x_curr, 1e-10)
+            values.append(objective(x_curr, obs, model, y, cfg))
+        # the best iterate is returned with its objective (ridge = 0 here)
+        best = int(np.argmin(values))
+        assert best_f == pytest.approx(values[best], rel=1e-10, abs=0)
+        np.testing.assert_array_equal(best_x, warm if best == 0 else seen[best - 1][2])
 
 
 @st.composite
@@ -425,10 +454,9 @@ class TestStopRule:
         _, obs, y, model = random_instance(rng, n=8, d=5)
         cfg = CompletionConfig(lambda1=0.5)
         tight = CompletionConfig(lambda1=0.5, tol=1e-12, max_inner=2000)
-        out = apg_minimize(obs, model, y, tight, warm_start=obs.values)
-        seen = []
-        apg_minimize(obs, model, y, cfg, warm_start=out, callback=seen.append)
-        assert len(seen) <= 2
+        out, _, _ = solve(obs, model, y, tight, obs.values)
+        _, _, steps = solve(obs, model, y, cfg, out)
+        assert steps <= 2
 
     @given(seed=st.integers(0, 2**32 - 1), lambda1=st.sampled_from([0.0, 0.1, 0.5, 2.0]),
            lambda2=st.sampled_from([0.0, 1.0]), max_inner=st.integers(1, 25),
@@ -441,15 +469,16 @@ class TestStopRule:
         cfg = CompletionConfig(lambda1=lambda1, lambda2=lambda2, max_inner=max_inner, tol=tol)
         warm = obs.values
         if restart:
-            warm = apg_minimize(obs, model, y, cfg, warm_start=warm)
-        seen = []
-        apg_minimize(obs, model, y, cfg, warm_start=warm, callback=seen.append)
-        steps = len(seen)
+            warm, _, _ = solve(obs, model, y, cfg, warm)
+        _, _, steps = solve(obs, model, y, cfg, warm)
         # step indices 0 and 1, the minimum, or max_inner (never below the minimum)
         assert steps <= 2 or steps >= min(completion._MIN_INNER_STEPS, max_inner)
         if steps >= 2 and max_inner > 2:
-            # step 1 stops the loop exactly when its relative change is below tol
-            f0, f1 = seen[0]["objective"], seen[1]["objective"]
+            # step 1 stops the loop exactly when its relative change is below tol.
+            # Steps 0 and 1 carry no momentum, so they descend, and solves capped
+            # at one and two steps return their objectives as the best seen.
+            f0 = solve(obs, model, y, dataclasses.replace(cfg, max_inner=1), warm)[1]
+            f1 = solve(obs, model, y, dataclasses.replace(cfg, max_inner=2), warm)[1]
             assert (steps == 2) == (abs(f0 - f1) / max(abs(f0), 1e-12) < tol)
 
 
@@ -476,7 +505,7 @@ class TestFit:
         result = fit(obs, y, cfg)
         warm = obs.values.copy()
         model0 = train_ridge(warm, y, cfg.ridge)
-        np.testing.assert_array_equal(result.x_hat, apg_minimize(obs, model0, y, cfg, warm))
+        np.testing.assert_array_equal(result.x_hat, solve(obs, model0, y, cfg, warm)[0])
 
     def test_objective_trace_non_increasing(self):
         rng = np.random.default_rng(11)
@@ -643,10 +672,12 @@ class TestInnerTolerance:
         obs, x_true = masked_problem(x, mask, True)
         return obs, x_true, y
 
-    def test_round_zero_matches_apg_minimize(self, monkeypatch):
+    def test_round_zero_matches_a_lone_solve(self, monkeypatch):
         # the first round has no previous change to loosen its tolerance
         obs, _, y = self.instance(0)
         cfg = CompletionConfig()
+        model0 = train_ridge(obs.values, y, cfg.ridge)
+        _, _, lone = solve(obs, model0, y, cfg, obs.values)
         steps = []
         real = completion._apg
 
@@ -657,11 +688,8 @@ class TestInnerTolerance:
 
         monkeypatch.setattr(completion, "_apg", counted)
         fit(obs, y, cfg)
-        model0 = train_ridge(obs.values, y, cfg.ridge)
-        seen = []
-        apg_minimize(obs, model0, y, cfg, obs.values, callback=seen.append)
-        assert len(steps) > 1 and 2 < len(seen) < cfg.max_inner
-        assert steps[0] == len(seen)
+        assert len(steps) > 1 and 2 < lone < cfg.max_inner
+        assert steps[0] == lone
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_fewer_inner_steps_at_about_the_same_answer(self, monkeypatch, seed):

@@ -14,7 +14,7 @@ from activemc.data_io import (
     write_records,
     RECORD_COLUMNS,
 )
-from activemc.errors import DatasetFormatError, DegenerateLabelsError
+from activemc.errors import DatasetFormatError, DegenerateLabelsError, DimensionMismatchError
 from activemc.harness import RoundRecord
 
 
@@ -219,6 +219,27 @@ class TestWriteDataset:
         path = tmp_path / "d.csv"
         write_dataset(path, features, labels, delimiter=delimiter)
         assert path.read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("features,labels", [
+        (np.zeros((4, 2)), [1, -1]),
+        (np.zeros((2, 2)), [1, -1, 1, -1]),
+        (np.zeros(3), [1, -1, 1]),
+        (np.zeros((2, 2)), [[1], [-1]]),
+    ], ids=["fewer_labels", "more_labels", "1d_features", "2d_labels"])
+    def test_rows_and_labels_must_pair_up(self, tmp_path, features, labels):
+        # zip would write the shorter of the two and drop the rest silently
+        path = tmp_path / "d.csv"
+        with pytest.raises(DimensionMismatchError):
+            write_dataset(path, features, labels)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("label", [0.6, -1.7, float("nan"), float("inf")])
+    def test_label_must_be_a_whole_number(self, tmp_path, label):
+        # int() would write 0.6 as 0 and -1.7 as -1
+        path = tmp_path / "d.csv"
+        with pytest.raises(ValueError, match=f"^label {label!r} at row 1 is not a whole number$"):
+            write_dataset(path, np.zeros((2, 2)), [1.0, label])
+        assert not path.exists()
 
 
 class TestMatrixIO:

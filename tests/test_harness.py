@@ -61,6 +61,12 @@ class TestMakeSplit:
         with pytest.raises(DegenerateLabelsError):
             make_split(np.zeros((4, 2)), np.array([1, 1, 1, 1]), 0.5, seed=0)
 
+    def test_labels_are_not_truncated(self):
+        # an int cast would read +-1.5 as +-1 and split without complaint
+        x, y, _ = small_dataset()
+        with pytest.raises(ValueError, match=r"labels must take values in \{-1, \+1\}"):
+            make_split(x, 1.5 * y, 0.7, seed=0)
+
 
 class TestInitMask:
     def test_full_rate(self):
@@ -117,7 +123,7 @@ class TestPlan:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"train_fraction": 0.0},
+            {"observed_rate": 0.0},
             {"observed_rate": 1.5},
             {"strategy": "oracle"},
             {"cost_scheme": "gaussian"},
@@ -133,7 +139,7 @@ class TestPlan:
             {"max_inner": 0},
             {"tol": 0.0},
             {"ridge": -1.0},
-            {"train_fraction": 1.0},
+            {"budget_per_round": 0.0},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -164,6 +170,11 @@ class TestRunExperiment:
         )
         defaults.update(kwargs)
         return ExperimentPlan(**defaults)
+
+    def test_labels_are_not_truncated(self):
+        x, y, _ = small_dataset()
+        with pytest.raises(ValueError, match=r"labels must take values in \{-1, \+1\}"):
+            run_experiment(self.plan(rounds=2, replicates=1), x, 1.5 * y)
 
     def test_single_round_random(self):
         x, y, _ = small_dataset()

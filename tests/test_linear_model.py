@@ -198,6 +198,8 @@ class TestLabeledSplit:
     def test_rejects_bad_labels(self):
         with pytest.raises(ValueError):
             LabeledSplit(np.zeros((2, 2)), np.array([1, 2]))
+        with pytest.raises(ValueError):  # not truncated to +-1
+            LabeledSplit(np.zeros((2, 2)), np.array([1.5, -1.5]))
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(DimensionMismatchError):
