@@ -3,9 +3,6 @@
 Subcommands:
   complete   one-shot supervised completion of a dataset at a mask rate
   simulate   closed-loop acquisition experiment driven by a JSON config
-  bench-poss subset optimizer vs exhaustive search on small random pools
-  bound      recovery-error bound vs measured error on a synthetic instance
-  lemma3     Monte-Carlo sweep of the Hadamard trace-norm inequality
 
 Every command takes --seed; all randomness flows from it.
 """
@@ -21,20 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from . import data_io
-from .bounds import BoundParams, lemma3_sweep, theorem1_bound
 from .completion import fit
 from .errors import DivergenceError
-from .harness import (
-    ExperimentPlan,
-    init_mask,
-    masked_problem,
-    reconstruction_errors,
-    run_experiment,
-    score_fit,
-)
-from .matrix import PartialMatrix, coherence, trace_norm
-from .poss import BiObjectiveProblem, exhaustive_optimum, poss_optimize
-from .synthetic import labeled_lowrank
+from .harness import ExperimentPlan, init_mask, masked_problem, run_experiment, score_fit
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -71,26 +57,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=int)
     p.add_argument("--batch", dest="batch_size", type=int, help="entries per round")
     p.add_argument("--budget", dest="budget_per_round", type=float, help="cost budget per round")
-
-    p = sub.add_parser("bench-poss", help="subset optimizer vs exhaustive search")
-    p.add_argument("--pool", type=int, default=10, help="candidates per pool (<= 20)")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None, help="optional per-trial agreement table")
-
-    p = sub.add_parser("bound", help="error bound vs measured error, synthetic data")
-    p.add_argument("--n", type=int, default=60)
-    p.add_argument("--d", type=int, default=30)
-    p.add_argument("--rank", type=int, default=3)
-    p.add_argument("--observed", type=float, default=0.6)
-    p.add_argument("--c0", type=float, default=1.0)
-    p.add_argument("--trials", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-
-    p = sub.add_parser("lemma3", help="Monte-Carlo trace-norm inequality sweep")
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--max-dim", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
 
     return parser
 
@@ -157,91 +123,9 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _require_positive(args, *names) -> None:
-    """Reject a count flag below 1 before it can make a run that checks nothing."""
-    for name in names:
-        if getattr(args, name) < 1:
-            raise ValueError(f"--{name.replace('_', '-')} must be at least 1")
-
-
-def _cmd_bench_poss(args) -> int:
-    _require_positive(args, "trials", "pool")
-    if args.pool > 20:
-        raise ValueError("--pool must be at most 20 for exhaustive comparison")
-    rng = np.random.default_rng(args.seed)
-    rows = []
-    agreements = 0
-    for trial in range(args.trials):
-        gains = rng.uniform(0.0, 10.0, size=args.pool)
-        costs = rng.integers(1, 11, size=args.pool).astype(float)
-        problem = BiObjectiveProblem(
-            candidates=[(0, j) for j in range(args.pool)],
-            informativeness=gains,
-            costs=costs,
-            budget=0.5 * float(costs.sum()),
-        )
-        chosen = poss_optimize(problem, rng=rng)
-        achieved = float(sum(gains[problem.candidates.index(entry)] for entry in chosen))
-        optimum, _ = exhaustive_optimum(problem)
-        match = int(abs(achieved - optimum) <= 1e-9)
-        agreements += match
-        rows.append((trial, achieved, optimum, match))
-
-    rate = agreements / args.trials
-    if args.out:
-        data_io.write_rows(args.out, ("trial", "poss_value", "optimal_value", "match"), rows)
-    print(f"bench-poss: agreement {agreements}/{args.trials} = {rate:.3f}")
-    return 0
-
-
-def _cmd_bound(args) -> int:
-    _require_positive(args, "trials")
-    held = 0
-    for trial in range(args.trials):
-        rng = np.random.default_rng(np.random.SeedSequence([args.seed, trial]))
-        x, y, _ = labeled_lowrank(args.n, args.d, args.rank, rng)
-        mask = init_mask(x.shape, args.observed, rng)
-        obs = PartialMatrix(x, mask)
-        result = fit(obs, y)
-
-        _, measured = reconstruction_errors(result.x_hat, x)
-        beta = trace_norm(x) ** 2 / np.sqrt(args.rank * args.n * args.d)
-        mu = max(coherence(x), coherence(result.x_hat))
-        bound = theorem1_bound(
-            BoundParams(
-                beta=beta,
-                r=args.rank,
-                n=args.n,
-                d=args.d,
-                omega_size=int(mask.sum()),
-                mu=mu,
-                c0=args.c0,
-            )
-        )
-        ok = measured <= bound
-        held += int(ok)
-        print(
-            f"bound trial {trial}: measured={measured:.6g} bound={bound:.6g} "
-            f"mu={mu:.4f} holds={ok}"
-        )
-    print(f"bound: held in {held}/{args.trials} trials")
-    return 0
-
-
-def _cmd_lemma3(args) -> int:
-    _require_positive(args, "trials", "max_dim")
-    rng = np.random.default_rng(args.seed)
-    violations, worst = lemma3_sweep(args.trials, rng, max_dim=args.max_dim)
-    print(f"lemma3: {violations}/{args.trials} violations, worst lhs/rhs ratio {worst:.6f}")
-    return 0 if violations == 0 else 1
-
-
 _COMMANDS = {
     "complete": _cmd_complete,
     "simulate": _cmd_simulate,
-    "bench-poss": _cmd_bench_poss,
-    "bound": _cmd_bound,
-    "lemma3": _cmd_lemma3,
 }
 
 

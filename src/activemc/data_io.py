@@ -76,7 +76,8 @@ def load_dataset(path, *, label_col: str | int = "last", positive_label: str | i
     column name. ``positive_label`` is the raw token mapped to +1, every
     other label token maps to -1, except that an empty or non-finite
     numeric token is an error; when omitted the label column must already
-    hold -1/+1 values. A leading UTF-8 byte-order mark is skipped.
+    hold -1/+1 values. A leading UTF-8 byte-order mark is skipped. A header
+    must name as many columns as the data rows hold.
 
     Each row becomes a float vector as it is read, so loading holds about
     the feature matrix plus one row of text.
@@ -102,6 +103,10 @@ def load_dataset(path, *, label_col: str | int = "last", positive_label: str | i
                 raise DatasetFormatError(f"{path} holds a header but no data rows")
 
         width = len(first[1])
+        if header is not None and len(header) != width:
+            raise DatasetFormatError(
+                f"{path}: header has {len(header)} columns, data rows have {width}"
+            )
         if width < 3:
             raise DatasetFormatError(f"{path} needs at least 2 feature columns plus a label")
         label_idx = _resolve_label_index(label_col, header, width)

@@ -1,4 +1,4 @@
-"""Synthetic low-rank families used by tests, benchmarks, and CLI demos."""
+"""Synthetic low-rank families used by tests, benchmarks and the README examples."""
 
 from __future__ import annotations
 

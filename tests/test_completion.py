@@ -663,6 +663,20 @@ class TestFit:
             fit(obs, np.array([1, -1]))
 
 
+class TestRecovery:
+    def test_fit_beats_zero_fill_on_criterion_10_masks(self):
+        # criterion 10 holds for any estimator within its bound's slack, the
+        # zero-filled observations included; this check needs a solver
+        ratios = []
+        for trial in range(50):
+            rng = np.random.default_rng(np.random.SeedSequence([91, trial]))
+            x, y, _ = labeled_lowrank(60, 30, 3, rng)
+            obs = PartialMatrix(x, init_mask(x.shape, 0.6, rng))
+            fitted = reconstruction_errors(fit(obs, y).x_hat, x)[1]
+            ratios.append(fitted / reconstruction_errors(obs.values, x)[1])
+        assert max(ratios) <= 0.1, f"worst trial {int(np.argmax(ratios))}: {max(ratios):.4f}"
+
+
 class TestInnerTolerance:
     @staticmethod
     def instance(seed):

@@ -38,6 +38,17 @@ class TestLoadDataset:
         np.testing.assert_array_equal(labels, [1, -1])
         assert features.shape == (2, 2)
 
+    @pytest.mark.parametrize("text, named", [
+        ("a,b,target\n1,2,1,5\n3,4,0,6\n", 3),
+        ("a,b,c,d,target\n1,2,1\n3,4,0\n", 5),
+    ], ids=["header-short", "header-long"])
+    def test_header_width_must_match_rows(self, tmp_path, text, named):
+        path = write_text(tmp_path / "d.csv", text)
+        with pytest.raises(DatasetFormatError) as info:
+            load_dataset(path, label_col="target", positive_label="1", has_header=True)
+        width = len(text.splitlines()[1].split(","))
+        assert str(info.value) == f"{path}: header has {named} columns, data rows have {width}"
+
     def test_label_column_index(self, tmp_path):
         path = write_text(tmp_path / "d.csv", "1,9,2\n0,8,3\n1,7,4\n")
         features, labels = load_dataset(path, label_col=0, positive_label="1")
