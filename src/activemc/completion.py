@@ -45,6 +45,15 @@ the small singular values, which are the ones thresholded away, so the
 error against an SVT built from a full SVD is about ``eps * sigma_1 / tau``
 relative. Each kept singular value comes back with the result, so the
 solver carries the trace norm of every iterate instead of recomputing it.
+SVT takes a positive ``scale`` and thresholds ``scale * m``; the factor
+multiplies only the spectrum and the ``k`` rebuilt columns.
+
+The inner step carries each iterate's gradient step ``G(x) = x - grad_g(x)
+/ L`` too, computed once in the same passes that give its objective. ``G``
+is affine, so the momentum point ``z = (1 + beta) * x - beta * x_prev`` has
+``G(z) = (1 + beta) * (G(x) - beta / (1 + beta) * G(x_prev))``: two passes
+over the carried steps, with the factor ``1 + beta`` handed to SVT as its
+scale, and none on the two momentum-free steps.
 """
 
 from __future__ import annotations
@@ -149,19 +158,15 @@ def _check_shapes(x_hat: np.ndarray, obs: PartialMatrix, model, labels):
         raise DimensionMismatchError("model width does not match column count")
 
 
-def _g_value(x, xw, obs, maskf, model, y, lambda2, out=None) -> float:
-    """Smooth value at ``x`` given ``xw = x @ model.weights``.
-
-    ``out``, when given, is an ``x``-shaped buffer the masked residual is
-    written into instead of a fresh array.
-    """
+def _g_value(x, obs, maskf, model, y, lambda2) -> float:
+    """Smooth value at ``x``."""
     # unobserved cells of obs.values are zero, so scaling by the 0/1 mask
     # leaves the residual on observed cells and zero elsewhere
-    diff = np.subtract(x, obs.values, out=out)
+    diff = x - obs.values
     diff *= maskf
     value = 0.5 * float(np.vdot(diff, diff))
     if lambda2:
-        res = xw + model.bias - y
+        res = x @ model.weights + model.bias - y
         value += lambda2 * float(res @ res)
     return value
 
@@ -193,23 +198,26 @@ def grad_g(z, obs: PartialMatrix, model: LinearModel, labels, lambda2: float) ->
     return grad
 
 
-def _svt_with_sigma(m: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
-    """SVT of ``m`` and its shrunk singular values, largest first.
+def _svt_with_sigma(m: np.ndarray, tau: float,
+                    scale: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """SVT of ``scale * m`` and its shrunk singular values, largest first.
 
     Only the ``k`` singular values above ``tau`` survive, so the result is
-    ``m @ V_k @ diag((sigma_k - tau) / sigma_k) @ V_k.T`` with ``V_k`` and
-    ``sigma_k`` read off the eigendecomposition of the small Gram matrix.
+    ``m @ V_k @ diag(scale * (sigma_k - tau) / sigma_k) @ V_k.T`` with
+    ``V_k`` and ``sigma_k`` (the singular values of ``scale * m``) read off
+    the eigendecomposition of the small Gram matrix. ``scale`` is positive;
+    it touches only the spectrum and the ``k`` rebuilt columns, never a
+    full-size array.
     """
-    if m.shape[0] < m.shape[1]:
-        out, shrunk = _svt_with_sigma(m.T, tau)
-        return out.T, shrunk
-    w, v = np.linalg.eigh(m.T @ m)  # ascending eigenvalues
-    sigma = np.sqrt(np.maximum(w, 0.0))
+    wide = m.shape[0] < m.shape[1]
+    a = m.T if wide else m  # the tall side
+    w, v = np.linalg.eigh(a.T @ a)  # ascending eigenvalues
+    sigma = scale * np.sqrt(np.maximum(w, 0.0))
     k = int(np.count_nonzero(sigma > tau))
     # the surviving values are the last k; k == 0 gives the zero matrix
     sigma_k, v_k = sigma[sigma.size - k:], v[:, v.shape[1] - k:]
-    out = ((m @ v_k) * ((sigma_k - tau) / sigma_k)) @ v_k.T
-    return out, np.maximum(sigma[::-1] - tau, 0.0)
+    out = ((a @ v_k) * (scale * (sigma_k - tau) / sigma_k)) @ v_k.T
+    return (out.T if wide else out), np.maximum(sigma[::-1] - tau, 0.0)
 
 
 def svt(m, tau: float) -> np.ndarray:
@@ -232,61 +240,76 @@ def _apg(obs, maskf, model, y, cfg, warm, tr_warm, tol):
     ``maskf`` is ``obs.mask`` as floats and ``tr_warm`` the trace norm of
     ``warm`` (0.0 when lambda1 is 0, where no trace norm is computed).
     ``tol`` is the relative objective change that stops the loop.
-    Every step is ``x_next = svt(z - grad_g(z) / L, lambda1 / L)`` at the
-    momentum point ``z``, with the Lipschitz constant ``L`` of the module
-    docstring. Returns the best iterate seen (the momentum sequence itself
-    is not monotone), its trace norm and its objective on the same terms,
-    and the step count.
+    Every step is ``x_next = svt(G(z), lambda1 / L)`` at the momentum point
+    ``z``, with ``G`` and ``L`` of the module docstring; ``G(z)`` comes from
+    the carried steps of the last two iterates, so ``z`` is never formed.
+    Returns the best iterate seen (the momentum sequence itself is not
+    monotone; ``warm`` itself when no step improves on it), its trace norm
+    and its objective on the same terms, and the step count.
     """
     lam1, lam2 = cfg.lambda1, cfg.lambda2
     w = model.weights
     l = 1.0 + 2.0 * lam2 * float(w @ w)
-    # z - grad_g(z) / l == z * keep + shift - outer(res(z), w_step), where
-    # res(z) = z @ w + b - y follows from the carried x @ w vectors
-    keep = 1.0 - maskf / l
+    # x * mask_l - shift is the masked data residual over L, so G(x) is
+    # x minus that minus outer(x @ w + offset, w_row)
+    mask_l = maskf / l
     shift = obs.values / l
-    w_step = (2.0 * lam2 / l) * w
+    w_row = (2.0 * lam2 / l) * w[None, :]
     offset = model.bias - y
-    point, scratch = np.empty_like(warm), np.empty_like(warm)
-    # iterates are rebound to fresh arrays, never written in place, so one
-    # copy keeps the caller's array out of the result
-    x_curr = x_prev = warm.copy()
-    xw_curr = xw_prev = x_curr @ w
-    theta_curr = theta_prev = _THETA0
+    half_l2 = 0.5 * l * l
+    # G of the current and the previous iterate; point is the momentum
+    # point's G over (1 + beta) and the residual scratch
+    g_curr, g_prev, point = np.empty_like(warm), np.empty_like(warm), np.empty_like(warm)
 
-    f_curr = _g_value(x_curr, xw_curr, obs, maskf, model, y, lam2, scratch) + lam1 * tr_warm
-    best_x, best_f, best_tr = x_curr, f_curr, tr_warm
+    def gradient_step(x, out):
+        """Write ``G(x)`` into ``out`` and return the smooth value at ``x``."""
+        np.multiply(x, mask_l, out=point)
+        np.subtract(point, shift, out=point)
+        value = half_l2 * float(np.vdot(point, point))
+        if lam2:
+            res = x @ w + offset
+            value += lam2 * float(res @ res)
+            # a BLAS rank-one product writes the outer product about twice
+            # as fast as np.multiply.outer
+            np.dot(res[:, None], w_row, out=out)
+            out += point
+            np.subtract(x, out, out=out)
+        else:
+            np.subtract(x, point, out=out)
+        return value
+
+    f_curr = gradient_step(warm, g_curr) + lam1 * tr_warm
+    best_x, best_f, best_tr = warm, f_curr, tr_warm
+    theta_curr = theta_prev = _THETA0
     iterations = 0
 
     for k in range(cfg.max_inner):
         beta = theta_curr * (1.0 / theta_prev - 1.0)
-        np.subtract(x_curr, x_prev, out=point)
-        point *= beta
-        point += x_curr  # the momentum point z
-        point *= keep
-        point += shift
-        if lam2:
-            res = xw_curr + beta * (xw_curr - xw_prev) + offset
-            point -= np.multiply.outer(res, w_step, out=scratch)
+        if beta:
+            # G(z) == (1 + beta) * (G(x) - beta / (1 + beta) * G(x_prev))
+            np.multiply(g_prev, beta / (1.0 + beta), out=point)
+            np.subtract(g_curr, point, out=point)
+            step = point
+        else:
+            step = g_curr
 
         if lam1:
-            x_next, sig = _svt_with_sigma(point, lam1 / l)
+            x_next, sig = _svt_with_sigma(step, lam1 / l, 1.0 + beta)
             tr_next = float(sig.sum())
         else:  # the proximal map of a zero penalty is the identity
-            x_next, tr_next = point.copy(), 0.0
-        xw_next = x_next @ w
-        f_next = _g_value(x_next, xw_next, obs, maskf, model, y, lam2, scratch) + lam1 * tr_next
-        if not np.isfinite(f_next):
+            x_next, tr_next = step * (1.0 + beta), 0.0
+        f_next = gradient_step(x_next, g_prev) + lam1 * tr_next
+        if not math.isfinite(f_next):
             raise DivergenceError(f"non-finite objective at inner step {k}", k)
         iterations += 1
+        g_prev, g_curr = g_curr, g_prev
 
         th = theta_curr
         theta_prev, theta_curr = th, 0.5 * (math.sqrt(th**4 + 4 * th**2) - th**2)
-        x_prev, x_curr = x_curr, x_next
-        xw_prev, xw_curr = xw_curr, xw_next
 
         if f_next < best_f:
             best_f, best_x, best_tr = f_next, x_next, tr_next
+        del x_next  # only the best iterate outlives its step
         rel = abs(f_curr - f_next) / max(abs(f_curr), 1e-12)
         f_curr = f_next
         # beta == 0 on steps 0 and 1: see _MIN_INNER_STEPS
@@ -307,7 +330,7 @@ def _solver_objective(x_hat, tr_hat, obs, maskf, model, y, cfg) -> float:
     the matching lambda2 * ridge * ||w||^2 term; without it the refit is
     not an exact block minimizer and the trace could tick upward.
     """
-    g = _g_value(x_hat, x_hat @ model.weights, obs, maskf, model, y, cfg.lambda2)
+    g = _g_value(x_hat, obs, maskf, model, y, cfg.lambda2)
     return g + cfg.lambda1 * tr_hat + _ridge_term(model, cfg)
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,6 +41,11 @@ def svt_reference(m, tau):
     u, s, vh = np.linalg.svd(m, full_matrices=False)
     shrunk = np.maximum(s - tau, 0.0)
     return (u * shrunk) @ vh, shrunk
+
+
+def scaled_svt_reference(m, tau, scale=1.0):
+    """``_svt_with_sigma``'s contract, SVT of ``scale * m``, from a full SVD."""
+    return svt_reference(scale * m, tau)
 
 
 def assert_rel_close(actual, desired, rtol):
@@ -252,6 +258,22 @@ class TestSvtProperties:
         if frac >= 1.001:  # tau clear above sigma_1 leaves nothing
             np.testing.assert_array_equal(out, np.zeros_like(a))
 
+    @pytest.mark.parametrize("scale", [1.0, 1.3, 1.9])
+    @pytest.mark.parametrize("wide", [False, True], ids=["tall", "wide"])
+    @settings(max_examples=50, deadline=None)
+    @given(m=matrices, frac=st.one_of(st.floats(1e-3, 1.0), st.floats(1.0, 3.0)))
+    def test_scale_matches_full_svd_of_scaled_matrix(self, m, frac, wide, scale):
+        a = build_matrix(*m)
+        a = a.T if (a.shape[0] < a.shape[1]) != wide else a
+        b = scale * a
+        tau = frac * np.linalg.svd(b, compute_uv=False).max(initial=0.0)
+        size = np.linalg.norm(b)
+        ref, ref_shrunk = svt_reference(b, tau)
+        out, shrunk = _svt_with_sigma(a, tau, scale)
+        assert out.shape == a.shape
+        assert np.linalg.norm(out - ref) <= 1e-9 * size
+        np.testing.assert_allclose(shrunk, ref_shrunk, rtol=0, atol=1e-9 * size)
+
     @pytest.mark.parametrize("transpose", [False, True])
     def test_threshold_a_millionth_of_sigma_1(self, transpose):
         rng = np.random.default_rng(14)
@@ -320,44 +342,81 @@ class TestApgMinimize:
         step = warm - grad_g(warm, obs, model, y, cfg.lambda2) / lip
         assert_rel_close(out, svt(step, cfg.lambda1 / lip), 1e-12)
 
-    def test_steps_follow_the_fista_recursion(self, monkeypatch):
-        # the fused gradient point carries the momentum through x @ w; the
+    @pytest.mark.parametrize("shape, lambda1, lambda2", [
+        ((9, 6), 0.5, 1.0), ((6, 9), 0.5, 1.0), ((9, 6), 0.5, 0.0), ((6, 9), 0.5, 0.0),
+        ((9, 6), 0.0, 1.0), ((6, 9), 0.0, 1.0),
+    ], ids=["tall", "wide", "tall-unsupervised", "wide-unsupervised",
+            "tall-lambda1-0", "wide-lambda1-0"])
+    def test_steps_follow_the_fista_recursion(self, monkeypatch, shape, lambda1, lambda2):
+        # the fused step carries each iterate's gradient step G(x) and takes
+        # the momentum point's as (1 + beta) * G(x) - beta * G(x_prev); the
         # reference builds every step from the public grad_g and svt
         rng = np.random.default_rng(9)
-        x, obs, y, model = random_instance(rng, n=9, d=6)
-        cfg = CompletionConfig(lambda1=0.5, lambda2=1.0, ridge=0.0, max_inner=8)
+        x, obs, y, model = random_instance(rng, *shape)
+        cfg = CompletionConfig(lambda1=lambda1, lambda2=lambda2, ridge=0.0, max_inner=8)
         warm = obs.values.copy()
         seen = []  # (gradient point, threshold, SVT output) of every step
         real = completion._svt_with_sigma
 
-        def recorded(m, tau):
-            out = real(m, tau)
-            seen.append((m.copy(), tau, out[0].copy()))  # the point buffer is reused
+        def recorded(m, tau, scale=1.0):
+            out = real(m, tau, scale)
+            seen.append((scale * m, tau, out[0].copy()))
             return out
 
         # the reference's svt must not run through the recorder
         with monkeypatch.context() as patch:
             patch.setattr(completion, "_svt_with_sigma", recorded)
             best_x, best_f, steps = solve(obs, model, y, cfg, warm)
-        assert steps == len(seen) == cfg.max_inner
+        assert steps == cfg.max_inner
+        assert len(seen) == (steps if lambda1 else 0)  # lambda1 = 0 runs no SVT
 
         lip = 1.0 + 2.0 * cfg.lambda2 * float(model.weights @ model.weights)
         x_prev = x_curr = warm
         theta_prev = theta = 1.0
-        values = [objective(warm, obs, model, y, cfg)]
-        for point, tau, out in seen:
+        iterates, values = [warm], [objective(warm, obs, model, y, cfg)]
+        for k in range(steps):
             z = x_curr + theta * (1.0 / theta_prev - 1.0) * (x_curr - x_prev)
             step = z - grad_g(z, obs, model, y, cfg.lambda2) / lip
             x_prev, x_curr = x_curr, svt(step, cfg.lambda1 / lip)
             theta_prev, theta = theta, 0.5 * (np.sqrt(theta**4 + 4 * theta**2) - theta**2)
-            assert tau == cfg.lambda1 / lip
-            assert_rel_close(point, step, 1e-10)
-            assert_rel_close(out, x_curr, 1e-10)
+            if lambda1:
+                point, tau, out = seen[k]
+                assert tau == cfg.lambda1 / lip
+                assert_rel_close(point, step, 1e-10)
+                assert_rel_close(out, x_curr, 1e-10)
+            iterates.append(x_curr)
             values.append(objective(x_curr, obs, model, y, cfg))
         # the best iterate is returned with its objective (ridge = 0 here)
         best = int(np.argmin(values))
         assert best_f == pytest.approx(values[best], rel=1e-10, abs=0)
-        np.testing.assert_array_equal(best_x, warm if best == 0 else seen[best - 1][2])
+        if lambda1:
+            np.testing.assert_array_equal(best_x, warm if best == 0 else seen[best - 1][2])
+        # every shorter solve returns the best of its own prefix of the steps
+        for limit in range(1, steps + 1):
+            out_x, out_f, _ = solve(obs, model, y, dataclasses.replace(cfg, max_inner=limit), warm)
+            best = int(np.argmin(values[:limit + 1]))
+            assert out_f == pytest.approx(values[best], rel=1e-10, abs=0)
+            assert_rel_close(out_x, iterates[best], 1e-10)
+
+    @pytest.mark.parametrize("lambda2", [1.0, 0.0])
+    def test_traced_peak_is_a_few_matrices(self, lambda2):
+        # keep, shift, two carried gradient steps, the momentum point and
+        # residual scratch, the last and the best iterate, and SVT's output
+        rng = np.random.default_rng(10)
+        x, y, _ = labeled_lowrank(2000, 100, 5, rng)
+        obs, _ = masked_problem(x, init_mask(x.shape, 0.6, 10), True)
+        cfg = CompletionConfig(lambda2=lambda2, max_inner=20)
+        model = train_ridge(obs.values, y, cfg.ridge)
+        maskf, warm = obs.mask.astype(float), obs.values.copy()
+        tr_warm = trace_norm(warm)
+        tracemalloc.start()
+        try:
+            *_, steps = completion._apg(obs, maskf, model, _as_labels(y), cfg, warm, tr_warm, 0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert steps == cfg.max_inner
+        assert peak <= 8.5 * x.nbytes, f"peak {peak / x.nbytes:.2f}x the matrix"
 
 
 @st.composite
@@ -596,7 +655,7 @@ class TestFit:
             return solver_objective(x_hat, trace_norm(x_hat), obs, obs.mask.astype(float),
                                     model, y, cfg)
 
-        monkeypatch.setattr(completion, "_svt_with_sigma", svt_reference)
+        monkeypatch.setattr(completion, "_svt_with_sigma", scaled_svt_reference)
         monkeypatch.setattr(completion, "_solver_objective", fresh_objective)
         ref = fit(obs, y, cfg)
         assert len(ref.objective_trace) == len(result.objective_trace)
@@ -609,9 +668,9 @@ class TestFit:
         calls = []
         real = completion._svt_with_sigma
 
-        def counted(m, tau):
+        def counted(m, tau, scale=1.0):
             calls.append(m.shape)
-            return real(m, tau)
+            return real(m, tau, scale)
 
         monkeypatch.setattr(completion, "_svt_with_sigma", counted)
         result = fit(obs, y)
@@ -649,7 +708,7 @@ class TestFit:
 
         # reference: a full-SVD SVT at a threshold too small to move any
         # singular value, with a penalty too small to change the objective
-        monkeypatch.setattr(completion, "_svt_with_sigma", svt_reference)
+        monkeypatch.setattr(completion, "_svt_with_sigma", scaled_svt_reference)
         ref = fit(obs, y, CompletionConfig(lambda1=1e-300))
         np.testing.assert_allclose(result.objective_trace, ref.objective_trace, rtol=1e-9, atol=0)
         assert_rel_close(result.x_hat, ref.x_hat, 1e-9)
