@@ -158,17 +158,29 @@ def _check_shapes(x_hat: np.ndarray, obs: PartialMatrix, model, labels):
         raise DimensionMismatchError("model width does not match column count")
 
 
-def _g_value(x, obs, maskf, model, y, lambda2) -> float:
-    """Smooth value at ``x``."""
-    # unobserved cells of obs.values are zero, so scaling by the 0/1 mask
-    # leaves the residual on observed cells and zero elsewhere
-    diff = x - obs.values
-    diff *= maskf
-    value = 0.5 * float(np.vdot(diff, diff))
+def _lipschitz(model, lambda2) -> float:
+    """``L`` of the module docstring for the model ``model``."""
+    return 1.0 + 2.0 * lambda2 * float(model.weights @ model.weights)
+
+
+def _g_value(x, obs, mask_l, l, model, offset, lambda2, out):
+    """Smooth value at ``x`` and the label residual ``x @ w + offset``.
+
+    ``mask_l`` is ``obs.mask / l``, so the masked data residual over ``l``
+    is left in ``out``; the label residual is None when lambda2 is 0. The
+    inner step and the outer objective both take the value from here, so
+    two values of one ``x`` under one model round alike wherever ``fit``
+    compares them.
+    """
+    # the mask zeroes the residual off the observed cells
+    np.subtract(x, obs.values, out=out)
+    out *= mask_l
+    value = 0.5 * l * l * float(np.vdot(out, out))
+    res = None
     if lambda2:
-        res = x @ model.weights + model.bias - y
+        res = x @ model.weights + offset
         value += lambda2 * float(res @ res)
-    return value
+    return value, res
 
 
 def objective(x_hat, obs: PartialMatrix, model: LinearModel, labels, cfg: CompletionConfig) -> float:
@@ -177,7 +189,7 @@ def objective(x_hat, obs: PartialMatrix, model: LinearModel, labels, cfg: Comple
     y = _as_labels(labels)
     _check_shapes(x, obs, model, y)
     tr = trace_norm(x) if cfg.lambda1 else 0.0
-    return _solver_objective(x, tr, obs, obs.mask.astype(float), model, y, cfg)
+    return _solver_objective(x, tr, obs, model, y, cfg)
 
 
 def grad_g(z, obs: PartialMatrix, model: LinearModel, labels, lambda2: float) -> np.ndarray:
@@ -234,11 +246,11 @@ def svt(m, tau: float) -> np.ndarray:
     return out
 
 
-def _apg(obs, maskf, model, y, cfg, warm, tr_warm, tol):
+def _apg(obs, model, y, cfg, warm, tr_warm, tol):
     """Accelerated proximal gradient on the matrix block, model fixed.
 
-    ``maskf`` is ``obs.mask`` as floats and ``tr_warm`` the trace norm of
-    ``warm`` (0.0 when lambda1 is 0, where no trace norm is computed).
+    ``tr_warm`` is the trace norm of ``warm`` (0.0 when lambda1 is 0,
+    where no trace norm is computed).
     ``tol`` is the relative objective change that stops the loop.
     Every step is ``x_next = svt(G(z), lambda1 / L)`` at the momentum point
     ``z``, with ``G`` and ``L`` of the module docstring; ``G(z)`` comes from
@@ -248,27 +260,21 @@ def _apg(obs, maskf, model, y, cfg, warm, tr_warm, tol):
     and its objective on the same terms, and the step count.
     """
     lam1, lam2 = cfg.lambda1, cfg.lambda2
-    w = model.weights
-    l = 1.0 + 2.0 * lam2 * float(w @ w)
-    # x * mask_l - shift is the masked data residual over L, so G(x) is
-    # x minus that minus outer(x @ w + offset, w_row)
-    mask_l = maskf / l
-    shift = obs.values / l
-    w_row = (2.0 * lam2 / l) * w[None, :]
-    offset = model.bias - y
-    half_l2 = 0.5 * l * l
+    l = _lipschitz(model, lam2)
+    mask_l, offset = obs.mask / l, model.bias - y
+    w_row = (2.0 * lam2 / l) * model.weights[None, :]
     # G of the current and the previous iterate; point is the momentum
-    # point's G over (1 + beta) and the residual scratch
-    g_curr, g_prev, point = np.empty_like(warm), np.empty_like(warm), np.empty_like(warm)
+    # point's G over (1 + beta) and the residual scratch. All three are
+    # C-ordered whatever the layout of warm (SVT hands a wide matrix back
+    # transposed), as np.dot writes only into a C-ordered out.
+    g_curr, g_prev, point = np.empty(warm.shape), np.empty(warm.shape), np.empty(warm.shape)
 
     def gradient_step(x, out):
         """Write ``G(x)`` into ``out`` and return the smooth value at ``x``."""
-        np.multiply(x, mask_l, out=point)
-        np.subtract(point, shift, out=point)
-        value = half_l2 * float(np.vdot(point, point))
+        # G(x) is x minus the masked data residual over L (left in point)
+        # minus outer(x @ w + offset, w_row)
+        value, res = _g_value(x, obs, mask_l, l, model, offset, lam2, point)
         if lam2:
-            res = x @ w + offset
-            value += lam2 * float(res @ res)
             # a BLAS rank-one product writes the outer product about twice
             # as fast as np.multiply.outer
             np.dot(res[:, None], w_row, out=out)
@@ -323,14 +329,16 @@ def _ridge_term(model, cfg) -> float:
     return cfg.lambda2 * cfg.ridge * float(model.weights @ model.weights)
 
 
-def _solver_objective(x_hat, tr_hat, obs, maskf, model, y, cfg) -> float:
+def _solver_objective(x_hat, tr_hat, obs, model, y, cfg) -> float:
     """What the alternation actually minimizes, given ``tr_hat = ||x_hat||_tr``.
 
     The model refit solves a ridge problem, so the joint objective carries
     the matching lambda2 * ridge * ||w||^2 term; without it the refit is
     not an exact block minimizer and the trace could tick upward.
     """
-    g = _g_value(x_hat, obs, maskf, model, y, cfg.lambda2)
+    l = _lipschitz(model, cfg.lambda2)
+    g, _ = _g_value(x_hat, obs, obs.mask / l, l, model, model.bias - y, cfg.lambda2,
+                    np.empty(x_hat.shape))
     return g + cfg.lambda1 * tr_hat + _ridge_term(model, cfg)
 
 
@@ -349,12 +357,11 @@ def fit(obs: PartialMatrix, labels, cfg: CompletionConfig | None = None,
     x_hat = obs.values.copy() if warm_start is None else _as_matrix(warm_start).copy()
     _check_shapes(x_hat, obs, None, y)
 
-    maskf = obs.mask.astype(float)
     model = train_ridge(x_hat, y, cfg.ridge)
     # the trace norm of x_hat is carried from here on: SVT returns it for
     # every candidate, and a model refit leaves x_hat unchanged
     tr_hat = trace_norm(x_hat) if cfg.lambda1 else 0.0
-    current = _solver_objective(x_hat, tr_hat, obs, maskf, model, y, cfg)
+    current = _solver_objective(x_hat, tr_hat, obs, model, y, cfg)
 
     trace: list[float] = []
     inner_total = 0
@@ -365,15 +372,14 @@ def fit(obs: PartialMatrix, labels, cfg: CompletionConfig | None = None,
         previous = current
 
         # _apg's value leaves out the ridge term, constant while the model is fixed
-        candidate, cand_tr, cand_f, iters = _apg(obs, maskf, model, y, cfg, x_hat, tr_hat,
-                                                 inner_tol)
+        candidate, cand_tr, cand_f, iters = _apg(obs, model, y, cfg, x_hat, tr_hat, inner_tol)
         inner_total += iters
         cand_obj = cand_f + _ridge_term(model, cfg)
         if cand_obj <= current:
             x_hat, tr_hat, current = candidate, cand_tr, cand_obj
 
         refit = train_ridge(x_hat, y, cfg.ridge)
-        refit_obj = _solver_objective(x_hat, tr_hat, obs, maskf, refit, y, cfg)
+        refit_obj = _solver_objective(x_hat, tr_hat, obs, refit, y, cfg)
         if refit_obj <= current:
             model, current = refit, refit_obj
 
