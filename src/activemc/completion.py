@@ -13,8 +13,9 @@ the current ``Xhat``. With the model fixed, the smooth part's gradient is
 Lipschitz with ``L = 1 + 2 * lambda2 * ||w||^2``: the masked data term
 contributes at most 1, and the supervised term ``2 * lambda2 * (dX w) w.T``
 at most ``2 * lambda2 * ||w||^2 * ||dX||_F``. So each inner step makes one
-SVT and no step is ever retried. Every accepted update is guarded so the
-recorded objective can never increase.
+SVT and no step is ever retried. The inner loop returns its best iterate,
+never worse than its warm start, and a model refit is kept only when it
+does not raise the objective, so the recorded objective can never increase.
 
 ``fit`` is the solver's one entry point; ``objective``, ``grad_g`` and
 ``svt`` (the trace norm's proximal map) are the public references its
@@ -65,7 +66,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, DivergenceError
 from .linear_model import LinearModel, _as_labels, train_ridge
-from .matrix import PartialMatrix, _as_matrix, trace_norm
+from .matrix import PartialMatrix, _as_matrix, _check_finite, trace_norm
 
 # The two momentum-free steps from each warm start may stop the inner loop
 # on tolerance: a plain proximal step's decrease bounds the gradient mapping.
@@ -287,7 +288,6 @@ def _apg(obs, model, y, cfg, warm, tr_warm, tol):
     f_curr = gradient_step(warm, g_curr) + lam1 * tr_warm
     best_x, best_f, best_tr = warm, f_curr, tr_warm
     theta_curr = theta_prev = _THETA0
-    iterations = 0
 
     for k in range(cfg.max_inner):
         beta = theta_curr * (1.0 / theta_prev - 1.0)
@@ -307,7 +307,6 @@ def _apg(obs, model, y, cfg, warm, tr_warm, tol):
         f_next = gradient_step(x_next, g_prev) + lam1 * tr_next
         if not math.isfinite(f_next):
             raise DivergenceError(f"non-finite objective at inner step {k}", k)
-        iterations += 1
         g_prev, g_curr = g_curr, g_prev
 
         th = theta_curr
@@ -319,10 +318,10 @@ def _apg(obs, model, y, cfg, warm, tr_warm, tol):
         rel = abs(f_curr - f_next) / max(abs(f_curr), 1e-12)
         f_curr = f_next
         # beta == 0 on steps 0 and 1: see _MIN_INNER_STEPS
-        if rel < tol and (beta == 0.0 or iterations >= _MIN_INNER_STEPS):
+        if rel < tol and (beta == 0.0 or k + 1 >= _MIN_INNER_STEPS):
             break
 
-    return best_x, best_tr, best_f, iterations
+    return best_x, best_tr, best_f, k + 1
 
 
 def _ridge_term(model, cfg) -> float:
@@ -347,14 +346,15 @@ def fit(obs: PartialMatrix, labels, cfg: CompletionConfig | None = None,
     """Alternate matrix recovery and model refits until the objective settles.
 
     Each outer round runs the accelerated inner loop from the current
-    matrix, then refits the model on the recovered matrix. Both half-steps
-    are kept only when they do not increase the joint objective, so the
-    recorded trace is non-increasing by construction.
+    matrix, then refits the model on the recovered matrix. The inner loop
+    returns its best iterate, which starts at the current matrix, and the
+    refit is kept only when it does not increase the joint objective, so
+    the recorded trace is non-increasing by construction.
     """
     if cfg is None:
         cfg = CompletionConfig()
     y = _as_labels(labels)
-    x_hat = obs.values.copy() if warm_start is None else _as_matrix(warm_start).copy()
+    x_hat = (obs.values if warm_start is None else _check_finite(_as_matrix(warm_start))).copy()
     _check_shapes(x_hat, obs, None, y)
 
     model = train_ridge(x_hat, y, cfg.ridge)
@@ -372,11 +372,10 @@ def fit(obs: PartialMatrix, labels, cfg: CompletionConfig | None = None,
         previous = current
 
         # _apg's value leaves out the ridge term, constant while the model is fixed
-        candidate, cand_tr, cand_f, iters = _apg(obs, model, y, cfg, x_hat, tr_hat, inner_tol)
+        # unguarded: _apg's best starts at x_hat, valued exactly as current is
+        x_hat, tr_hat, cand_f, iters = _apg(obs, model, y, cfg, x_hat, tr_hat, inner_tol)
         inner_total += iters
-        cand_obj = cand_f + _ridge_term(model, cfg)
-        if cand_obj <= current:
-            x_hat, tr_hat, current = candidate, cand_tr, cand_obj
+        current = cand_f + _ridge_term(model, cfg)
 
         refit = train_ridge(x_hat, y, cfg.ridge)
         refit_obj = _solver_objective(x_hat, tr_hat, obs, refit, y, cfg)

@@ -33,7 +33,7 @@ from .errors import (
     StratificationError,
 )
 from .linear_model import LabeledSplit, _as_labels, accuracy, auc, decision_values
-from .matrix import PartialMatrix, _as_matrix
+from .matrix import PartialMatrix, _as_matrix, _check_finite
 from .poss import BiObjectiveProblem, poss_optimize
 
 STRATEGIES = ("variance", "cost_ratio", "poss", "random")
@@ -90,8 +90,9 @@ class ExperimentPlan(CompletionConfig):
             raise ValueError("batch_size must be at least 1")
         if self.budget_per_round <= 0:
             raise ValueError("budget_per_round must be positive")
-        if self.window < 0:
-            raise ValueError("window must be 0 (unbounded) or positive")
+        # a 1-snapshot window never holds the two snapshots variance scores need
+        if self.window < 0 or self.window == 1:
+            raise ValueError("window must be 0 (unbounded) or at least 2")
         if self.replicates < 1:
             raise ValueError("replicates must be at least 1")
         if self.poss_pool < 1:
@@ -126,7 +127,7 @@ def make_split(features, labels, train_fraction: float, seed) -> tuple[LabeledSp
     The train side gets ``floor(train_fraction * n)`` rows. An empty test
     side (train_fraction close to 1) is allowed and skips the class check.
     """
-    x = _as_matrix(features)
+    x = _check_finite(_as_matrix(features))
     y = _as_labels(labels).astype(int)
     if x.shape[0] != y.shape[0]:
         raise DimensionMismatchError("feature rows and labels disagree in length")

@@ -130,12 +130,10 @@ def auc(scores, labels) -> float:
     if n_pos == 0 or n_neg == 0:
         raise DegenerateLabelsError("AUC needs at least one positive and one negative")
 
-    order = np.argsort(s, kind="mergesort")
-    _, group, counts = np.unique(s[order], return_inverse=True, return_counts=True)
+    _, group, counts = np.unique(s, return_inverse=True, return_counts=True)
     starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
     mean_rank = starts + (counts + 1) / 2.0  # 1-based average rank per tied group
-    ranks = np.empty(s.size)
-    ranks[order] = mean_rank[group]
+    ranks = mean_rank[group]
 
     u_stat = ranks[y == 1].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u_stat / (n_pos * n_neg))

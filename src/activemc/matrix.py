@@ -26,8 +26,11 @@ def _as_matrix(m) -> np.ndarray:
 
 
 def _check_finite(a: np.ndarray) -> np.ndarray:
-    if not np.isfinite(a).all():
-        raise NumericError("matrix has non-finite entries")
+    """``a`` itself; raises naming its first non-finite entry, row-major."""
+    finite = np.isfinite(a)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise NumericError(f"non-finite value for entry ({row}, {col})")
     return a
 
 
@@ -58,10 +61,7 @@ class PartialMatrix:
         self.values = _as_matrix(self.values).copy()
         self.mask = _as_mask(self.mask, self.values.shape).copy()
         self.values[~self.mask] = 0.0
-        finite = np.isfinite(self.values)
-        if not finite.all():  # only observed cells are left to fail
-            row, col = np.argwhere(~finite)[0]
-            raise NumericError(f"non-finite value for entry ({row}, {col})")
+        _check_finite(self.values)  # only observed cells are left to fail
 
     @property
     def n_rows(self) -> int:

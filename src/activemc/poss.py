@@ -8,11 +8,13 @@ evolutionary loop (POMC, after Qian, Yu & Zhou 2015 and Qian et al. 2017)
 keeps an archive of mutually nondominated subsets sorted by cost, and the
 final answer is the best-scoring archived subset within the budget.
 
-The loop draws its randomness in batches: one parent pick per child and
-standard bit mutation as a binomial flip count plus a uniform set of
-positions. A child flipping nothing is skipped; the rest are screened with
-objectives updated from the parent's by the flipped entries, and only the
-children that pass are evaluated in full and archived.
+The loop draws its randomness in chunks of children: one parent pick per
+child, and standard bit mutation for the whole chunk at once, as one
+binomial count of flipped bits among all its children's bits and a
+uniform set of that many distinct bits. A child flipping nothing is
+skipped; the rest are screened with objectives updated from the parent's
+by the flipped entries, and only the children that pass are evaluated in
+full and archived.
 """
 
 from __future__ import annotations
@@ -144,22 +146,14 @@ def _draw_flips(n: int, flip_prob: float, size: int,
                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Flipped positions of ``size`` children under standard bit mutation.
 
-    Each child flips Binomial(n, flip_prob) bits at a uniformly drawn set of
-    distinct positions, which is the law of flipping every bit independently
-    with probability ``flip_prob``. Returns the per-child flip counts and the
-    positions, concatenated child after child.
+    Draws how many of the chunk's ``size * n`` bits flip, Binomial(size * n,
+    flip_prob), then that many distinct bits uniformly: the law of flipping
+    every bit independently with probability ``flip_prob``. Returns the
+    per-child flip counts and the positions, concatenated child after child,
+    each child's in ascending order.
     """
-    counts = rng.binomial(n, flip_prob, size)
-    positions = rng.integers(n, size=int(counts.sum()))
-    # A child whose independent draws repeat a position is rejected and
-    # redrawn without replacement, which also ends when it flips all n bits.
-    keys = np.sort(np.repeat(np.arange(size), counts) * n + positions)
-    rejected = np.zeros(size, dtype=bool)
-    rejected[keys[1:][np.diff(keys) == 0] // n] = True
-    starts = np.cumsum(counts) - counts
-    for c in np.flatnonzero(rejected):
-        positions[starts[c]:starts[c] + counts[c]] = rng.choice(n, counts[c], replace=False)
-    return counts, positions
+    flat = np.sort(rng.choice(size * n, rng.binomial(size * n, flip_prob), replace=False))
+    return np.bincount(flat // n, minlength=size), flat % n
 
 
 def _evolve(problem: BiObjectiveProblem, iterations: int, rng: np.random.Generator,

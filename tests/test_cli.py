@@ -186,6 +186,15 @@ class TestSimulate:
         assert len(records) == 3  # header + 2 rounds
         assert not (out / "replicate_01.csv").exists()
 
+    def test_window_of_one_is_an_error(self, tmp_path, dataset, capsys):
+        out = tmp_path / "runs"
+        code = cli_main(["simulate", "--config", self.config(tmp_path, dataset),
+                         "--out", str(out), "--window", "1"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: invalid config: window must be 0 (unbounded) or at least 2\n")
+        assert not out.exists()
+
     def test_early_stopped_replicates_reported(self, tmp_path, capsys):
         x, y, _ = margin_labeled_lowrank(60, 10, 3, np.random.default_rng(0))
         data = tmp_path / "margin.csv"

@@ -16,7 +16,7 @@ from activemc.completion import (
     objective,
     svt,
 )
-from activemc.errors import DimensionMismatchError
+from activemc.errors import DimensionMismatchError, NumericError
 from activemc.harness import init_mask, masked_problem, reconstruction_errors
 from activemc.linear_model import LinearModel, _as_labels, train_ridge
 from activemc.matrix import PartialMatrix, trace_norm
@@ -564,6 +564,14 @@ class TestStopRule:
 
 
 class TestFit:
+    def test_non_finite_warm_start_is_named(self):
+        rng = np.random.default_rng(12)
+        _, obs, y, _ = random_instance(rng)
+        warm = obs.values.copy()
+        warm[2, 1] = np.inf
+        with pytest.raises(NumericError, match=r"^non-finite value for entry \(2, 1\)$"):
+            fit(obs, y, warm_start=warm)
+
     def test_fully_observed_returns_data_and_direct_model(self):
         rng = np.random.default_rng(9)
         x = rng.standard_normal((10, 4))

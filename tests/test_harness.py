@@ -8,6 +8,7 @@ from activemc.errors import (
     DegenerateLabelsError,
     DimensionMismatchError,
     DivergenceError,
+    NumericError,
     StratificationError,
 )
 from activemc.harness import (
@@ -66,6 +67,14 @@ class TestMakeSplit:
         x, y, _ = small_dataset()
         with pytest.raises(ValueError, match=r"labels must take values in \{-1, \+1\}"):
             make_split(x, 1.5 * y, 0.7, seed=0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_non_finite_feature_is_named_in_caller_coordinates(self, seed):
+        # checked before the split, so the entry is a row of the caller's matrix
+        x, y, _ = small_dataset()
+        x[41, 3] = np.nan
+        with pytest.raises(NumericError, match=r"^non-finite value for entry \(41, 3\)$"):
+            make_split(x, y, 0.7, seed=seed)
 
 
 class TestInitMask:
@@ -146,6 +155,13 @@ class TestPlan:
         with pytest.raises(ValueError):
             ExperimentPlan(**kwargs)
 
+    @pytest.mark.parametrize("window", [-1, 1])
+    def test_window_below_two_rejected(self, window):
+        # one snapshot never gives variance scores: every round would pick at random
+        with pytest.raises(ValueError, match=r"^window must be 0 \(unbounded\) or at least 2$"):
+            ExperimentPlan(window=window)
+        assert ExperimentPlan(window=2).window == 2
+
     @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ExperimentPlan)
                                       if f.type == "float"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
@@ -175,6 +191,14 @@ class TestRunExperiment:
         x, y, _ = small_dataset()
         with pytest.raises(ValueError, match=r"labels must take values in \{-1, \+1\}"):
             run_experiment(self.plan(rounds=2, replicates=1), x, 1.5 * y)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_non_finite_feature_fails_loudly(self, seed):
+        # not a NaN metric, a NaN test row scored as -1, or a train-split entry
+        x, y, _ = small_dataset()
+        x[0, 0] = np.nan
+        with pytest.raises(NumericError, match=r"^non-finite value for entry \(0, 0\)$"):
+            run_experiment(self.plan(replicates=1, seed=seed), x, y)
 
     def test_single_round_random(self):
         x, y, _ = small_dataset()

@@ -178,16 +178,19 @@ class TestAuc:
         with pytest.raises(DegenerateLabelsError):
             auc(np.array([1.0, 2.0]), np.array([1, 1]))
 
-    def test_agrees_with_pair_enumeration(self):
-        rng = np.random.default_rng(5)
-        scores = rng.integers(0, 5, size=25).astype(float)  # force ties
-        labels = np.where(rng.random(25) < 0.5, 1, -1)
-        if labels.min() == labels.max():
-            labels[0] = -labels[0]
+    @settings(max_examples=200, deadline=None)
+    @given(pairs=st.lists(st.tuples(st.integers(0, 4), st.sampled_from([1, -1])),
+                          min_size=2, max_size=40)
+           .filter(lambda ps: len({label for _, label in ps}) == 2))
+    def test_agrees_with_pair_enumeration(self, pairs):
+        # few distinct integer scores force ties; the average ranks are
+        # half-integers and the pair count is a sum of halves, so both are exact
+        scores = np.array([float(s) for s, _ in pairs])
+        labels = np.array([label for _, label in pairs])
         pos = scores[labels == 1]
         neg = scores[labels == -1]
         wins = sum((p > n) + 0.5 * (p == n) for p in pos for n in neg)
-        assert auc(scores, labels) == pytest.approx(wins / (len(pos) * len(neg)))
+        assert auc(scores, labels) == wins / (len(pos) * len(neg))
 
 
 class TestLabeledSplit:

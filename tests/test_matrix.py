@@ -35,6 +35,13 @@ class TestNorms:
         with pytest.raises(NumericError):
             trace_norm(np.array([[np.inf, 0.0]]))
 
+    @pytest.mark.parametrize("norm", [trace_norm, coherence])
+    def test_nonfinite_entry_is_named(self, norm):
+        # the first bad entry in row-major order, as PartialMatrix names it
+        m = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, np.nan], [np.inf, 0.0, 0.0]])
+        with pytest.raises(NumericError, match=r"^non-finite value for entry \(1, 2\)$"):
+            norm(m)
+
 
 class TestCoherence:
     def test_identity(self):
