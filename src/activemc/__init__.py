@@ -26,7 +26,6 @@ from .harness import (
     run_experiment,
 )
 from .linear_model import (
-    LabeledSplit,
     LinearModel,
     accuracy,
     auc,
@@ -47,7 +46,6 @@ __all__ = [
     "ExperimentPlan",
     "ExperimentResult",
     "InformativenessTracker",
-    "LabeledSplit",
     "Lemma3Result",
     "LinearModel",
     "PartialMatrix",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, PoolExhausted
+from .errors import DimensionMismatchError
 from .matrix import _as_mask, _as_matrix
 
 
@@ -79,11 +79,9 @@ def informativeness(tracker: InformativenessTracker,
 
 
 def rank_entries(rows, cols, keys, k: int) -> np.ndarray:
-    """Positions of the k largest keys; ties broken by (row, col) order."""
+    """Positions of the k largest keys, ties broken by (row, col); none from an empty pool."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    if len(keys) == 0:
-        raise PoolExhausted("no unobserved entries left to select from")
     return np.lexsort((cols, rows, -keys))[:k]
 
 
@@ -93,11 +91,14 @@ def _top_entries(rows, cols, keys, k: int) -> list[tuple[int, int]]:
 
 
 def select_top_k(scored, k: int) -> list[tuple[int, int]]:
-    """The k highest-scoring entries of ``(rows, cols, scores)``."""
+    """The k highest-scoring entries of ``(rows, cols, scores)``; none from an empty pool."""
     return _top_entries(*scored, k)
 
 
 def select_cost_ratio(scored, costs: CostModel, k: int) -> list[tuple[int, int]]:
-    """Top k entries of ``(rows, cols, scores)`` by score over column cost."""
+    """Top k entries of ``(rows, cols, scores)`` by score over column cost.
+
+    None from an empty pool.
+    """
     rows, cols, scores = scored
     return _top_entries(rows, cols, scores / costs.column_costs[cols], k)

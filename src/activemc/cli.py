@@ -83,13 +83,14 @@ def _load(plan: ExperimentPlan) -> tuple[np.ndarray, np.ndarray]:
 def _cmd_complete(args) -> int:
     plan = _plan(args, {})
     features, labels = _load(plan)
+    # made before the fit, so a bad --out costs no work
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     mask = init_mask(features.shape, plan.observed_rate, plan.seed)
     obs, x_true = masked_problem(features, mask, plan.standardize)
     result = fit(obs, labels, plan)
     scores = score_fit(result, x_true, x_true, labels)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     data_io.write_matrix(out / "recovered.csv", result.x_hat, delimiter=plan.delimiter)
     data_io.write_rows(out / "metrics.csv",
                        ("recon_rel", "recon_msq", "objective", "train_accuracy", "train_auc",
@@ -103,14 +104,15 @@ def _cmd_simulate(args) -> int:
     with open(args.config) as fh:
         plan = _plan(args, json.load(fh))
     features, labels = _load(plan)
+    # made before the replicates run, so a bad --out costs no work
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     result = run_experiment(plan, features, labels)
     for index, records in enumerate(result.replicates):
         if len(records) < plan.rounds:
             print(f"simulate: replicate {index} stopped after round {records[-1].round} "
                   f"of {plan.rounds}", file=sys.stderr)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     for index, records in enumerate(result.replicates):
         data_io.write_records(out / f"replicate_{index:02d}.csv", records)
     data_io.write_records(out / "mean.csv", result.mean)

@@ -168,20 +168,16 @@ def _g_value(x, obs, mask_l, l, model, offset, lambda2, out):
     """Smooth value at ``x`` and the label residual ``x @ w + offset``.
 
     ``mask_l`` is ``obs.mask / l``, so the masked data residual over ``l``
-    is left in ``out``; the label residual is None when lambda2 is 0. The
-    inner step and the outer objective both take the value from here, so
-    two values of one ``x`` under one model round alike wherever ``fit``
-    compares them.
+    is left in ``out``. The inner step and the outer objective both take
+    the value from here, so two values of one ``x`` under one model round
+    alike wherever ``fit`` compares them. At lambda2 = 0 the label term
+    adds 0.0, which leaves the value as it is.
     """
     # the mask zeroes the residual off the observed cells
     np.subtract(x, obs.values, out=out)
     out *= mask_l
-    value = 0.5 * l * l * float(np.vdot(out, out))
-    res = None
-    if lambda2:
-        res = x @ model.weights + offset
-        value += lambda2 * float(res @ res)
-    return value, res
+    res = x @ model.weights + offset
+    return 0.5 * l * l * float(np.vdot(out, out)) + lambda2 * float(res @ res), res
 
 
 def objective(x_hat, obs: PartialMatrix, model: LinearModel, labels, cfg: CompletionConfig) -> float:
@@ -273,16 +269,13 @@ def _apg(obs, model, y, cfg, warm, tr_warm, tol):
     def gradient_step(x, out):
         """Write ``G(x)`` into ``out`` and return the smooth value at ``x``."""
         # G(x) is x minus the masked data residual over L (left in point)
-        # minus outer(x @ w + offset, w_row)
+        # minus outer(x @ w + offset, w_row), which is zero at lambda2 = 0
         value, res = _g_value(x, obs, mask_l, l, model, offset, lam2, point)
-        if lam2:
-            # a BLAS rank-one product writes the outer product about twice
-            # as fast as np.multiply.outer
-            np.dot(res[:, None], w_row, out=out)
-            out += point
-            np.subtract(x, out, out=out)
-        else:
-            np.subtract(x, point, out=out)
+        # a BLAS rank-one product writes the outer product about twice as
+        # fast as np.multiply.outer
+        np.dot(res[:, None], w_row, out=out)
+        out += point
+        np.subtract(x, out, out=out)
         return value
 
     f_curr = gradient_step(warm, g_curr) + lam1 * tr_warm

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import DatasetFormatError, DegenerateLabelsError, DimensionMismatchError
 from .harness import RoundRecord
+from .matrix import _as_matrix
 
 RECORD_COLUMNS = tuple(f.name for f in fields(RoundRecord))
 
@@ -163,15 +164,25 @@ def write_dataset(path, features: np.ndarray, labels: np.ndarray, delimiter: str
     bad = np.flatnonzero(~np.isfinite(y) | (y != np.trunc(y)))
     if bad.size:
         raise ValueError(f"label {float(y[bad[0]])!r} at row {bad[0]} is not a whole number")
-    sep = delimiter.replace("%", "%%")
-    template = sep.join(["%.17g"] * features.shape[1] + ["%d"]) + "\n"
-    with open(path, "w", newline="\n") as fh:
-        for row, label in zip(features, y):
-            fh.write(template % (*row.tolist(), int(label)))
+    _write_numbers(path, ((*row.tolist(), int(label)) for row, label in zip(features, y)),
+                   ["%.17g"] * features.shape[1] + ["%d"], delimiter)
 
 
 def write_matrix(path, m: np.ndarray, delimiter: str = ",") -> None:
-    np.savetxt(path, np.asarray(m, dtype=float), fmt="%.17g", delimiter=delimiter, newline="\n")
+    """Write a 2-d matrix in ``write_dataset``'s round-trip number format.
+
+    Any one-character delimiter works, ``%`` included.
+    """
+    m = _as_matrix(m)
+    _write_numbers(path, (tuple(row.tolist()) for row in m), ["%.17g"] * m.shape[1], delimiter)
+
+
+def _write_numbers(path, rows, formats: list[str], delimiter: str) -> None:
+    """One line per tuple of ``rows``, its values printed by ``formats``."""
+    template = delimiter.replace("%", "%%").join(formats) + "\n"
+    with open(path, "w", newline="\n") as fh:
+        for row in rows:
+            fh.write(template % row)
 
 
 def load_matrix(path, delimiter: str = ",") -> np.ndarray:

@@ -36,10 +36,3 @@ class DivergenceError(RuntimeError):
 class DatasetFormatError(ValueError):
     """A dataset file could not be parsed; message carries the location."""
 
-
-class PoolExhausted(Exception):
-    """Control-flow signal: no missing entries are left to select from.
-
-    Deliberately not a subclass of the error types above; the experiment
-    loop catches it to stop cleanly.
-    """

@@ -29,10 +29,9 @@ from .errors import (
     DegenerateLabelsError,
     DimensionMismatchError,
     DivergenceError,
-    PoolExhausted,
     StratificationError,
 )
-from .linear_model import LabeledSplit, _as_labels, accuracy, auc, decision_values
+from .linear_model import _as_labels, accuracy, auc, decision_values
 from .matrix import PartialMatrix, _as_matrix, _check_finite
 from .poss import BiObjectiveProblem, poss_optimize
 
@@ -121,11 +120,14 @@ class ExperimentResult:
     queries: list[list[list[tuple[int, int]]]] = field(default_factory=list)
 
 
-def make_split(features, labels, train_fraction: float, seed) -> tuple[LabeledSplit, LabeledSplit]:
-    """Seeded row partition; resamples until both sides hold both classes.
+def make_split(features, labels, train_fraction: float, seed
+               ) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """Seeded row partition into two ``(features, labels)`` pairs, train then test.
 
-    The train side gets ``floor(train_fraction * n)`` rows. An empty test
-    side (train_fraction close to 1) is allowed and skips the class check.
+    Labels must be -1/+1, one per feature row. The partition is resampled
+    until both sides hold both classes. The train side gets
+    ``floor(train_fraction * n)`` rows. An empty test side (train_fraction
+    close to 1) is allowed and skips the class check.
     """
     x = _check_finite(_as_matrix(features))
     y = _as_labels(labels).astype(int)
@@ -145,10 +147,7 @@ def make_split(features, labels, train_fraction: float, seed) -> tuple[LabeledSp
             continue
         if len(te) > 0 and y[te].min() == y[te].max():
             continue
-        return (
-            LabeledSplit(x[tr], y[tr]),
-            LabeledSplit(x[te], y[te]),
-        )
+        return (x[tr], y[tr]), (x[te], y[te])
     raise StratificationError(
         f"no two-class split found in {_SPLIT_RETRIES} attempts "
         f"(n={y.size}, train_fraction={train_fraction})"
@@ -243,7 +242,7 @@ def _select_batch(plan: ExperimentPlan, tracker: InformativenessTracker,
                   obs: PartialMatrix, costs: CostModel,
                   rng: np.random.Generator) -> list[tuple[int, int]]:
     if obs.mask.all():
-        raise PoolExhausted("every entry is observed")
+        return []
 
     # Random picks among the missing entries; so do the scored strategies
     # until the tracker holds the two snapshots variance scores need.
@@ -282,17 +281,17 @@ def run_replicate(plan: ExperimentPlan, features: np.ndarray, labels: np.ndarray
     """One seeded replicate of the closed loop."""
     split_ss, mask_ss, cost_ss, select_ss = _replicate_streams(plan.seed, replicate)
 
-    train, test = make_split(features, labels, _TRAIN_FRACTION, split_ss)
-    mask = init_mask(train.features.shape, plan.observed_rate, mask_ss)
+    (x_train, y_train), (x_test, y_test) = make_split(features, labels, _TRAIN_FRACTION, split_ss)
+    mask = init_mask(x_train.shape, plan.observed_rate, mask_ss)
 
-    d = train.features.shape[1]
+    d = x_train.shape[1]
     if plan.cost_scheme == "random":
         column_costs = np.random.default_rng(cost_ss).integers(1, 11, size=d).astype(float)
     else:
         column_costs = np.ones(d)
     costs = CostModel(column_costs)
 
-    obs, x_true, test_x = masked_problem(train.features, mask, plan.standardize, test.features)
+    obs, x_true, test_x = masked_problem(x_train, mask, plan.standardize, x_test)
     tracker = InformativenessTracker(plan.window)
     select_rng = np.random.default_rng(select_ss)
 
@@ -304,22 +303,20 @@ def run_replicate(plan: ExperimentPlan, features: np.ndarray, labels: np.ndarray
 
     for round_index in range(1, plan.rounds + 1):
         try:
-            result = fit(obs, train.labels, plan, warm_start=warm)
+            result = fit(obs, y_train, plan, warm_start=warm)
         except DivergenceError as exc:
             raise DivergenceError(f"replicate {replicate}, round {round_index}: {exc}",
                                   exc.iteration) from exc
         warm = result.x_hat
         tracker.record_snapshot(result.x_hat)
 
-        scores = score_fit(result, x_true, test_x, test.labels)
+        scores = score_fit(result, x_true, test_x, y_test)
         records.append(RoundRecord(round_index, cumulative_cost, queried, *scores))
 
-        try:
-            batch = _select_batch(plan, tracker, obs, costs, select_rng)
-        except PoolExhausted:
-            break
+        batch = _select_batch(plan, tracker, obs, costs, select_rng)
         if not batch:
-            # nothing affordable this round; further rounds would stall too
+            # nothing left to buy, or nothing affordable this round; further
+            # rounds would stall too
             break
         for row, col in batch:
             obs.observe(row, col, x_true[row, col])

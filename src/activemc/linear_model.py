@@ -37,23 +37,6 @@ class LinearModel:
             raise ValueError("model parameters must be finite")
 
 
-@dataclass
-class LabeledSplit:
-    """Feature rows with their labels."""
-
-    features: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        self.features = _as_matrix(self.features)
-        self.labels = _as_labels(self.labels).astype(int)
-        if self.features.shape[0] != self.labels.shape[0]:
-            raise DimensionMismatchError("feature rows and labels disagree in length")
-
-    def __len__(self) -> int:
-        return self.labels.shape[0]
-
-
 def train_ridge(x, labels, ridge: float = 0.0) -> LinearModel:
     """Exact minimizer of ``||x w + b 1 - y||^2 + ridge * ||w||^2``.
 

@@ -10,7 +10,7 @@ from activemc.acquisition import (
     select_cost_ratio,
     select_top_k,
 )
-from activemc.errors import DimensionMismatchError, PoolExhausted
+from activemc.errors import DimensionMismatchError
 
 
 def snapshots(tracker, values):
@@ -183,8 +183,9 @@ class TestSelection:
         assert select_top_k(self.scores(), 10) == [(1, 1), (2, 0), (0, 0)]
 
     def test_empty_pool_signals_exhaustion(self):
-        with pytest.raises(PoolExhausted):
-            select_top_k(entries(), 1)
+        # an empty selection is how the loop learns nothing is left to buy
+        assert select_top_k(entries(), 1) == []
+        assert select_cost_ratio(entries(), CostModel(np.ones(2)), 1) == []
 
     def test_k_validated(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ import pytest
 from activemc import cli, harness
 from activemc.cli import cli_main
 from activemc.completion import CompletionConfig, fit
-from activemc.data_io import load_dataset, write_dataset, write_matrix
+from activemc.data_io import load_dataset, load_matrix, write_dataset, write_matrix
 from activemc.errors import DivergenceError
 from activemc.linear_model import accuracy, auc, decision_values
 from activemc.synthetic import labeled_lowrank, margin_labeled_lowrank
@@ -121,6 +121,26 @@ class TestComplete:
         assert capsys.readouterr().err == f"error: {data}: header has 5 columns, data rows have 3\n"
         assert not out.exists()
 
+    def test_out_under_a_file_fails_before_the_fit(self, tmp_path, dataset, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "fit", lambda *args, **kwargs: calls.append(args))
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "o"
+        assert cli_main(["complete", "--data", dataset, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: [Errno 20] Not a directory: '{out}'\n"
+        assert calls == []
+
+    def test_percent_delimiter(self, tmp_path):
+        x, y, _ = labeled_lowrank(30, 5, 2, np.random.default_rng(0))
+        data = tmp_path / "d.csv"
+        write_dataset(data, x, y, delimiter="%")
+        out = tmp_path / "o"
+        args = ["complete", "--data", str(data), "--delimiter", "%", "--seed", "3"]
+        assert cli_main(args + ["--out", str(out)]) == 0
+        assert load_matrix(out / "recovered.csv", delimiter="%").shape == (30, 5)
+        assert (out / "metrics.csv").exists()
+
     def test_missing_data_file(self, tmp_path, capsys):
         code = cli_main(
             ["complete", "--data", "/nope.csv", "--out", str(tmp_path / "o")]
@@ -226,6 +246,17 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "solver diverged at iteration 7" in err
         assert "replicate 1, round 2" in err
+
+    def test_out_is_a_file_fails_before_the_replicates(self, tmp_path, dataset, capsys,
+                                                        monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "run_experiment", lambda *args: calls.append(args))
+        out = tmp_path / "o"
+        out.write_text("")
+        config = self.config(tmp_path, dataset)
+        assert cli_main(["simulate", "--config", config, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: [Errno 17] File exists: '{out}'\n"
+        assert calls == []
 
     def test_requires_data(self, tmp_path, capsys):
         path = tmp_path / "plan.json"

@@ -254,14 +254,16 @@ class TestWriteDataset:
 
 
 class TestMatrixIO:
-    def test_round_trip_exact(self, tmp_path):
+    @pytest.mark.parametrize("delimiter", [",", "%"], ids=["comma", "percent"])
+    def test_round_trip_exact(self, tmp_path, delimiter):
+        # "%" must not be read as a format directive
         rng = np.random.default_rng(1)
         # a one-column file must not come back transposed
         for shape in [(4, 6), (5, 1), (1, 5)]:
             m = rng.standard_normal(shape)
             path = tmp_path / "m.csv"
-            write_matrix(path, m)
-            np.testing.assert_array_equal(load_matrix(path), m)
+            write_matrix(path, m, delimiter=delimiter)
+            np.testing.assert_array_equal(load_matrix(path, delimiter=delimiter), m)
 
 
 class TestRecordWriting:

@@ -30,27 +30,27 @@ def small_dataset(seed=0, n=60, d=8, rank=2):
 class TestMakeSplit:
     def test_partition_sizes(self):
         x, y, _ = small_dataset(n=100)
-        train, test = make_split(x, y, 0.7, seed=0)
-        assert len(train) == 70 and len(test) == 30
+        (x_train, y_train), (x_test, y_test) = make_split(x, y, 0.7, seed=0)
+        assert x_train.shape == (70, 8) and y_train.shape == (70,)
+        assert x_test.shape == (30, 8) and y_test.shape == (30,)
 
     def test_deterministic(self):
         x, y, _ = small_dataset()
         a_train, a_test = make_split(x, y, 0.7, seed=3)
         b_train, b_test = make_split(x, y, 0.7, seed=3)
-        np.testing.assert_array_equal(a_train.features, b_train.features)
-        np.testing.assert_array_equal(a_test.labels, b_test.labels)
+        for a, b in zip(a_train + a_test, b_train + b_test):
+            np.testing.assert_array_equal(a, b)
 
     def test_both_sides_hold_both_classes(self):
         x, y, _ = small_dataset()
         for seed in range(5):
-            train, test = make_split(x, y, 0.7, seed=seed)
-            assert train.labels.min() == -1 and train.labels.max() == 1
-            assert test.labels.min() == -1 and test.labels.max() == 1
+            (_, y_train), (_, y_test) = make_split(x, y, 0.7, seed=seed)
+            assert set(y_train) == set(y_test) == {-1, 1}
 
     def test_full_train_fraction_leaves_empty_test(self):
         x, y, _ = small_dataset()
-        train, test = make_split(x, y, 1.0, seed=0)
-        assert len(train) == len(y) and len(test) == 0
+        (_, y_train), (x_test, y_test) = make_split(x, y, 1.0, seed=0)
+        assert len(y_train) == len(y) and len(y_test) == 0 and x_test.shape == (0, 8)
 
     def test_impossible_split_errors(self):
         x = np.zeros((2, 3))
@@ -61,6 +61,11 @@ class TestMakeSplit:
     def test_single_class_rejected(self):
         with pytest.raises(DegenerateLabelsError):
             make_split(np.zeros((4, 2)), np.array([1, 1, 1, 1]), 0.5, seed=0)
+
+    def test_length_mismatch_rejected(self):
+        x, y, _ = small_dataset()
+        with pytest.raises(DimensionMismatchError, match="disagree in length"):
+            make_split(x, y[:-1], 0.7, seed=0)
 
     def test_labels_are_not_truncated(self):
         # an int cast would read +-1.5 as +-1 and split without complaint

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from activemc.errors import DegenerateLabelsError, DimensionMismatchError, RankDeficiencyError
 from activemc.linear_model import (
-    LabeledSplit,
     LinearModel,
     _as_labels,
     accuracy,
@@ -192,18 +191,3 @@ class TestAuc:
         wins = sum((p > n) + 0.5 * (p == n) for p in pos for n in neg)
         assert auc(scores, labels) == wins / (len(pos) * len(neg))
 
-
-class TestLabeledSplit:
-    def test_valid(self):
-        split = LabeledSplit(np.zeros((3, 2)), np.array([1, -1, 1]))
-        assert len(split) == 3
-
-    def test_rejects_bad_labels(self):
-        with pytest.raises(ValueError):
-            LabeledSplit(np.zeros((2, 2)), np.array([1, 2]))
-        with pytest.raises(ValueError):  # not truncated to +-1
-            LabeledSplit(np.zeros((2, 2)), np.array([1.5, -1.5]))
-
-    def test_rejects_length_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            LabeledSplit(np.zeros((3, 2)), np.array([1, -1]))
