@@ -36,14 +36,15 @@ class InformativenessTracker:
     """Per-entry variance over completion snapshots.
 
     Keeps a copy of every recorded snapshot, or of the last ``window`` when
-    the window is positive. ``score_grid`` takes two passes over the kept
-    snapshots, the mean and then the squared deviations from it, so a large
-    common offset cannot cancel the spread away.
+    the window is at least 2; a window of 1 never holds the two snapshots a
+    spread needs, so it is rejected. ``score_grid`` takes two passes over
+    the kept snapshots, the mean and then the squared deviations from it,
+    so a large common offset cannot cancel the spread away.
     """
 
     def __init__(self, window: int = 0):
-        if window < 0:
-            raise ValueError("window must be 0 (unbounded) or positive")
+        if window < 0 or window == 1:
+            raise ValueError("window must be 0 (unbounded) or at least 2")
         self.window = int(window)
         self._kept: deque[np.ndarray] = deque(maxlen=self.window or None)
 

@@ -19,7 +19,6 @@ import numpy as np
 
 from . import data_io
 from .completion import fit
-from .errors import DivergenceError
 from .harness import ExperimentPlan, init_mask, masked_problem, run_experiment, score_fit
 
 
@@ -100,9 +99,19 @@ def _cmd_complete(args) -> int:
     return 0
 
 
+def _read_config(path) -> dict:
+    with open(path) as fh:
+        try:
+            config = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"config {path} must hold a JSON object: {exc}") from exc
+    if not isinstance(config, dict):
+        raise ValueError(f"config {path} must hold a JSON object, not {type(config).__name__}")
+    return config
+
+
 def _cmd_simulate(args) -> int:
-    with open(args.config) as fh:
-        plan = _plan(args, json.load(fh))
+    plan = _plan(args, _read_config(args.config))
     features, labels = _load(plan)
     # made before the replicates run, so a bad --out costs no work
     out = Path(args.out)
@@ -112,8 +121,6 @@ def _cmd_simulate(args) -> int:
         if len(records) < plan.rounds:
             print(f"simulate: replicate {index} stopped after round {records[-1].round} "
                   f"of {plan.rounds}", file=sys.stderr)
-
-    for index, records in enumerate(result.replicates):
         data_io.write_records(out / f"replicate_{index:02d}.csv", records)
     data_io.write_records(out / "mean.csv", result.mean)
 
@@ -139,9 +146,6 @@ def cli_main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except DivergenceError as exc:
-        print(f"error: solver diverged at iteration {exc.iteration}: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

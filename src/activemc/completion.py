@@ -153,9 +153,9 @@ def _check_shapes(x_hat: np.ndarray, obs: PartialMatrix, model, labels):
         raise DimensionMismatchError(
             f"candidate shape {x_hat.shape} does not match observations {obs.shape}"
         )
-    if labels is not None and len(labels) != obs.n_rows:
+    if labels is not None and len(labels) != obs.shape[0]:
         raise DimensionMismatchError("labels length does not match row count")
-    if model is not None and model.weights.shape[0] != obs.n_cols:
+    if model is not None and model.weights.shape[0] != obs.shape[1]:
         raise DimensionMismatchError("model width does not match column count")
 
 
@@ -299,7 +299,7 @@ def _apg(obs, model, y, cfg, warm, tr_warm, tol):
             x_next, tr_next = step * (1.0 + beta), 0.0
         f_next = gradient_step(x_next, g_prev) + lam1 * tr_next
         if not math.isfinite(f_next):
-            raise DivergenceError(f"non-finite objective at inner step {k}", k)
+            raise DivergenceError(f"solver diverged: non-finite objective at inner step {k}")
         g_prev, g_curr = g_curr, g_prev
 
         th = theta_curr

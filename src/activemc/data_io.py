@@ -21,6 +21,20 @@ from .matrix import _as_matrix
 
 RECORD_COLUMNS = tuple(f.name for f in fields(RoundRecord))
 
+# characters that end a line, or that "%.17g" and "%d" print inside a number
+_NOT_DELIMITERS = "\r\n0123456789.+-einfa"
+
+
+def _check_delimiter(path, delimiter) -> None:
+    """Raise, naming ``path``, unless ``delimiter`` is one character outside ``_NOT_DELIMITERS``."""
+    if not isinstance(delimiter, str) or len(delimiter) != 1:
+        raise DatasetFormatError(f"{path}: delimiter {delimiter!r} is not one character")
+    if delimiter in _NOT_DELIMITERS:
+        raise DatasetFormatError(
+            f"{path}: delimiter {delimiter!r} cannot separate numbers; "
+            "it ends a line or is part of one"
+        )
+
 
 def _resolve_label_index(col: str | int, header: list[str] | None, width: int) -> int:
     if isinstance(col, str):
@@ -86,8 +100,7 @@ def load_dataset(path, *, label_col: str | int = "last", positive_label: str | i
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"dataset file not found: {path}")
-    if not isinstance(delimiter, str) or len(delimiter) != 1:
-        raise DatasetFormatError(f"{path}: delimiter {delimiter!r} is not one character")
+    _check_delimiter(path, delimiter)
 
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
@@ -171,7 +184,8 @@ def write_dataset(path, features: np.ndarray, labels: np.ndarray, delimiter: str
 def write_matrix(path, m: np.ndarray, delimiter: str = ",") -> None:
     """Write a 2-d matrix in ``write_dataset``'s round-trip number format.
 
-    Any one-character delimiter works, ``%`` included.
+    The delimiter is one character that ends no line and appears in no
+    number (``0-9 . + - e i n f a``); ``%`` and ``#`` work.
     """
     m = _as_matrix(m)
     _write_numbers(path, (tuple(row.tolist()) for row in m), ["%.17g"] * m.shape[1], delimiter)
@@ -179,6 +193,7 @@ def write_matrix(path, m: np.ndarray, delimiter: str = ",") -> None:
 
 def _write_numbers(path, rows, formats: list[str], delimiter: str) -> None:
     """One line per tuple of ``rows``, its values printed by ``formats``."""
+    _check_delimiter(path, delimiter)
     template = delimiter.replace("%", "%%").join(formats) + "\n"
     with open(path, "w", newline="\n") as fh:
         for row in rows:
@@ -186,7 +201,8 @@ def _write_numbers(path, rows, formats: list[str], delimiter: str) -> None:
 
 
 def load_matrix(path, delimiter: str = ",") -> np.ndarray:
-    return np.loadtxt(path, delimiter=delimiter, ndmin=2)
+    """Read a matrix ``write_matrix`` wrote, with any delimiter it takes, ``#`` included."""
+    return np.loadtxt(path, delimiter=delimiter, ndmin=2, comments=None)
 
 
 def _format_value(value) -> str:

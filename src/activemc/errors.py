@@ -28,10 +28,6 @@ class StratificationError(RuntimeError):
 class DivergenceError(RuntimeError):
     """The completion solver produced a non-finite objective value."""
 
-    def __init__(self, message: str, iteration: int):
-        super().__init__(message)
-        self.iteration = iteration
-
 
 class DatasetFormatError(ValueError):
     """A dataset file could not be parsed; message carries the location."""

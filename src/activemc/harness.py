@@ -120,37 +120,30 @@ class ExperimentResult:
     queries: list[list[list[tuple[int, int]]]] = field(default_factory=list)
 
 
-def make_split(features, labels, train_fraction: float, seed
+def make_split(features, labels, seed
                ) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """Seeded row partition into two ``(features, labels)`` pairs, train then test.
+    """Seeded 70/30 row partition into two ``(features, labels)`` pairs, train then test.
 
-    Labels must be -1/+1, one per feature row. The partition is resampled
-    until both sides hold both classes. The train side gets
-    ``floor(train_fraction * n)`` rows. An empty test side (train_fraction
-    close to 1) is allowed and skips the class check.
+    Labels must be -1/+1, one per feature row, and hold both classes. The
+    train side gets ``floor(0.7 * n)`` rows, so with n >= 2 neither side is
+    empty. The partition is resampled until both sides hold both classes.
     """
     x = _check_finite(_as_matrix(features))
     y = _as_labels(labels).astype(int)
     if x.shape[0] != y.shape[0]:
         raise DimensionMismatchError("feature rows and labels disagree in length")
-    if not 0.0 < train_fraction <= 1.0:
-        raise ValueError("train_fraction must lie in (0, 1]")
     if y.size == 0 or y.min() == y.max():
         raise DegenerateLabelsError("dataset must contain both classes")
 
     rng = np.random.default_rng(seed)
-    n_train = int(np.floor(train_fraction * y.size))
+    n_train = int(np.floor(_TRAIN_FRACTION * y.size))
     for _ in range(_SPLIT_RETRIES):
         perm = rng.permutation(y.size)
         tr, te = perm[:n_train], perm[n_train:]
-        if len(tr) == 0 or y[tr].min() == y[tr].max():
-            continue
-        if len(te) > 0 and y[te].min() == y[te].max():
-            continue
-        return (x[tr], y[tr]), (x[te], y[te])
+        if y[tr].min() < y[tr].max() and y[te].min() < y[te].max():
+            return (x[tr], y[tr]), (x[te], y[te])
     raise StratificationError(
-        f"no two-class split found in {_SPLIT_RETRIES} attempts "
-        f"(n={y.size}, train_fraction={train_fraction})"
+        f"no two-class split found in {_SPLIT_RETRIES} attempts (n={y.size})"
     )
 
 
@@ -281,7 +274,7 @@ def run_replicate(plan: ExperimentPlan, features: np.ndarray, labels: np.ndarray
     """One seeded replicate of the closed loop."""
     split_ss, mask_ss, cost_ss, select_ss = _replicate_streams(plan.seed, replicate)
 
-    (x_train, y_train), (x_test, y_test) = make_split(features, labels, _TRAIN_FRACTION, split_ss)
+    (x_train, y_train), (x_test, y_test) = make_split(features, labels, split_ss)
     mask = init_mask(x_train.shape, plan.observed_rate, mask_ss)
 
     d = x_train.shape[1]
@@ -305,8 +298,7 @@ def run_replicate(plan: ExperimentPlan, features: np.ndarray, labels: np.ndarray
         try:
             result = fit(obs, y_train, plan, warm_start=warm)
         except DivergenceError as exc:
-            raise DivergenceError(f"replicate {replicate}, round {round_index}: {exc}",
-                                  exc.iteration) from exc
+            raise DivergenceError(f"replicate {replicate}, round {round_index}: {exc}") from exc
         warm = result.x_hat
         tracker.record_snapshot(result.x_hat)
 

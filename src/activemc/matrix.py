@@ -64,14 +64,6 @@ class PartialMatrix:
         _check_finite(self.values)  # only observed cells are left to fail
 
     @property
-    def n_rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_cols(self) -> int:
-        return self.values.shape[1]
-
-    @property
     def shape(self) -> tuple[int, int]:
         return self.values.shape
 

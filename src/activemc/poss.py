@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,24 +80,19 @@ def dominates(a: Solution, b: Solution) -> bool:
     return (a.j1 <= b.j1 and a.j2 <= b.j2) and (a.j1 < b.j1 or a.j2 < b.j2)
 
 
-@dataclass
 class SolutionArchive:
     """Mutually nondominated solutions, kept sorted by ascending j2.
 
-    No member is weakly dominated by another, so j2 strictly rises and j1
-    strictly falls along the list: a dominance test is one bisection, and
-    the members a newcomer evicts form one contiguous slice.
+    Starts from one member and grows only through ``insert``. No member is
+    weakly dominated by another, so j2 strictly rises and j1 strictly falls
+    along the list: a dominance test is one bisection, and the members a
+    newcomer evicts form one contiguous slice.
     """
 
-    solutions: list[Solution] = field(default_factory=list)
-
-    def __post_init__(self):
-        self.solutions = sorted(self.solutions, key=lambda s: s.j2)
-        self._j1 = [s.j1 for s in self.solutions]
-        self._j2 = [s.j2 for s in self.solutions]
-        if (any(a >= b for a, b in zip(self._j2, self._j2[1:]))
-                or any(a <= b for a, b in zip(self._j1, self._j1[1:]))):
-            raise ValueError("archived solutions must not weakly dominate each other")
+    def __init__(self, first: Solution):
+        self.solutions = [first]
+        self._j1 = [first.j1]
+        self._j2 = [first.j2]
 
     def __len__(self) -> int:
         return len(self.solutions)
@@ -173,7 +168,7 @@ def _evolve(problem: BiObjectiveProblem, iterations: int, rng: np.random.Generat
     costs = problem.costs.tolist()
     gains = problem.informativeness.tolist()
     cap = 2.0 * problem.budget
-    archive = SolutionArchive([evaluate(problem, np.zeros(n, dtype=bool))])
+    archive = SolutionArchive(evaluate(problem, np.zeros(n, dtype=bool)))
     for done in range(0, iterations, _CHUNK):
         size = min(_CHUNK, iterations - done)
         picks = rng.random(size).tolist()

@@ -78,6 +78,12 @@ class TestTracker:
         with pytest.raises(ValueError):
             InformativenessTracker().score_grid()
 
+    @pytest.mark.parametrize("window", [-1, 1])
+    def test_window_without_two_snapshots_rejected(self, window):
+        # a window of 1 would score every entry 0
+        with pytest.raises(ValueError, match=r"^window must be 0 \(unbounded\) or at least 2$"):
+            InformativenessTracker(window=window)
+
     @pytest.mark.parametrize("window", [0, 8])
     def test_large_offset_matches_two_pass_reference(self, window):
         # unit spread on a 1e6 offset: one-pass sums x^2 - (sum x)^2 / k
@@ -110,7 +116,7 @@ class TestTracker:
 
 class TestTrackerProperties:
     @settings(max_examples=200, deadline=None)
-    @given(window=st.integers(0, 5),
+    @given(window=st.sampled_from([0, 2, 3, 4, 5]),
            values=st.lists(st.lists(st.floats(-10, 10), min_size=2, max_size=2),
                            min_size=1, max_size=12))
     # a tiny retained value under a large evicted one

@@ -111,6 +111,18 @@ class TestComplete:
         assert lines == [f"error: {dataset}: delimiter {delimiter!r} is not one character"] * 2
         assert not out.exists()
 
+    def test_delimiter_inside_numbers_fails_before_the_fit(self, tmp_path, dataset, capsys,
+                                                           monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "fit", lambda *args, **kwargs: calls.append(args))
+        out = tmp_path / "o"
+        assert cli_main(["complete", "--data", dataset, "--delimiter", ".", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {dataset}: delimiter '.' cannot separate numbers; "
+            "it ends a line or is part of one\n")
+        assert calls == []
+        assert not out.exists()
+
     def test_header_width_mismatch_is_an_error(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
         data.write_text("a,b,c,d,target\n1,2,1\n3,4,0\n")
@@ -237,15 +249,14 @@ class TestSimulate:
         def fit(obs, labels, cfg, warm_start=None):
             calls.append(None)
             if len(calls) == 5:  # replicate 1, round 2
-                raise DivergenceError("non-finite objective at inner step 7", 7)
+                raise DivergenceError("solver diverged: non-finite objective at inner step 7")
             return real_fit(obs, labels, cfg, warm_start=warm_start)
 
         monkeypatch.setattr(harness, "fit", fit)
         config = self.config(tmp_path, dataset)
         assert cli_main(["simulate", "--config", config, "--out", str(tmp_path / "o")]) == 1
-        err = capsys.readouterr().err
-        assert "solver diverged at iteration 7" in err
-        assert "replicate 1, round 2" in err
+        assert capsys.readouterr().err == (
+            "error: replicate 1, round 2: solver diverged: non-finite objective at inner step 7\n")
 
     def test_out_is_a_file_fails_before_the_replicates(self, tmp_path, dataset, capsys,
                                                         monkeypatch):
@@ -257,6 +268,20 @@ class TestSimulate:
         assert cli_main(["simulate", "--config", config, "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: [Errno 17] File exists: '{out}'\n"
         assert calls == []
+
+    @pytest.mark.parametrize("text, reason", [
+        ('{"data": "d.csv", bad}',
+         ": Expecting property name enclosed in double quotes: line 1 column 19 (char 18)"),
+        ('["d.csv"]', ", not list"),
+    ], ids=["malformed", "list"])
+    def test_bad_config_file_is_named(self, tmp_path, capsys, text, reason):
+        path = tmp_path / "plan.json"
+        path.write_text(text)
+        out = tmp_path / "o"
+        assert cli_main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: config {path} must hold a JSON object{reason}\n")
+        assert not out.exists()
 
     def test_requires_data(self, tmp_path, capsys):
         path = tmp_path / "plan.json"

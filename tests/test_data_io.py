@@ -23,6 +23,15 @@ def write_text(path, text):
     return str(path)
 
 
+# the characters that end a line, or that "%.17g" and "%d" print inside a number
+NUMBER_CHARACTERS = list("\r\n0123456789.+-einfa")
+
+
+def inside_numbers(path, delimiter):
+    return (f"{path}: delimiter {delimiter!r} cannot separate numbers; "
+            "it ends a line or is part of one")
+
+
 class TestLoadDataset:
     def test_label_mapping(self, tmp_path):
         path = write_text(tmp_path / "d.csv", "0.5,1.5,1\n2.0,3.0,0\n4.0,5.0,1\n")
@@ -137,6 +146,13 @@ class TestLoadDataset:
         path = write_text(tmp_path / "d.csv", "1,2,1\n3,4,-1\n")
         with pytest.raises(DatasetFormatError, match=f"d.csv: delimiter {delimiter!r}"):
             load_dataset(path, delimiter=delimiter)
+
+    @pytest.mark.parametrize("delimiter", NUMBER_CHARACTERS)
+    def test_delimiter_inside_numbers_rejected(self, tmp_path, delimiter):
+        path = write_text(tmp_path / "d.csv", "1,2,1\n3,4,-1\n")
+        with pytest.raises(DatasetFormatError) as info:
+            load_dataset(path, delimiter=delimiter)
+        assert str(info.value) == inside_numbers(path, delimiter)
 
     def test_unsigned_labels_need_positive_label(self, tmp_path):
         path = write_text(tmp_path / "d.csv", "1,2,3\n3,4,0\n")
@@ -253,10 +269,27 @@ class TestWriteDataset:
         assert not path.exists()
 
 
+class TestWriterDelimiters:
+    @pytest.mark.parametrize("delimiter", ["", ";;", *NUMBER_CHARACTERS])
+    @pytest.mark.parametrize("write", [
+        lambda path, delimiter: write_dataset(path, np.zeros((2, 2)), [1, -1], delimiter),
+        lambda path, delimiter: write_matrix(path, np.zeros((2, 2)), delimiter),
+    ], ids=["write_dataset", "write_matrix"])
+    def test_rejected_before_the_file_is_made(self, tmp_path, write, delimiter):
+        path = tmp_path / "d.csv"
+        with pytest.raises(DatasetFormatError) as info:
+            write(path, delimiter)
+        if len(delimiter) == 1:
+            assert str(info.value) == inside_numbers(path, delimiter)
+        else:
+            assert str(info.value) == f"{path}: delimiter {delimiter!r} is not one character"
+        assert not path.exists()
+
+
 class TestMatrixIO:
-    @pytest.mark.parametrize("delimiter", [",", "%"], ids=["comma", "percent"])
+    @pytest.mark.parametrize("delimiter", [",", "%", "#"], ids=["comma", "percent", "hash"])
     def test_round_trip_exact(self, tmp_path, delimiter):
-        # "%" must not be read as a format directive
+        # "%" must not be read as a format directive, nor "#" as a comment
         rng = np.random.default_rng(1)
         # a one-column file must not come back transposed
         for shape in [(4, 6), (5, 1), (1, 5)]:

@@ -30,48 +30,43 @@ def small_dataset(seed=0, n=60, d=8, rank=2):
 class TestMakeSplit:
     def test_partition_sizes(self):
         x, y, _ = small_dataset(n=100)
-        (x_train, y_train), (x_test, y_test) = make_split(x, y, 0.7, seed=0)
+        (x_train, y_train), (x_test, y_test) = make_split(x, y, seed=0)
         assert x_train.shape == (70, 8) and y_train.shape == (70,)
         assert x_test.shape == (30, 8) and y_test.shape == (30,)
 
     def test_deterministic(self):
         x, y, _ = small_dataset()
-        a_train, a_test = make_split(x, y, 0.7, seed=3)
-        b_train, b_test = make_split(x, y, 0.7, seed=3)
+        a_train, a_test = make_split(x, y, seed=3)
+        b_train, b_test = make_split(x, y, seed=3)
         for a, b in zip(a_train + a_test, b_train + b_test):
             np.testing.assert_array_equal(a, b)
 
     def test_both_sides_hold_both_classes(self):
         x, y, _ = small_dataset()
         for seed in range(5):
-            (_, y_train), (_, y_test) = make_split(x, y, 0.7, seed=seed)
+            (_, y_train), (_, y_test) = make_split(x, y, seed=seed)
             assert set(y_train) == set(y_test) == {-1, 1}
-
-    def test_full_train_fraction_leaves_empty_test(self):
-        x, y, _ = small_dataset()
-        (_, y_train), (x_test, y_test) = make_split(x, y, 1.0, seed=0)
-        assert len(y_train) == len(y) and len(y_test) == 0 and x_test.shape == (0, 8)
 
     def test_impossible_split_errors(self):
         x = np.zeros((2, 3))
         y = np.array([1, -1])
         with pytest.raises(StratificationError):
-            make_split(x, y, 0.5, seed=0)  # one-row train side is single-class
+            make_split(x, y, seed=0)  # one-row train side is single-class
 
     def test_single_class_rejected(self):
         with pytest.raises(DegenerateLabelsError):
-            make_split(np.zeros((4, 2)), np.array([1, 1, 1, 1]), 0.5, seed=0)
+            make_split(np.zeros((4, 2)), np.array([1, 1, 1, 1]), seed=0)
 
     def test_length_mismatch_rejected(self):
         x, y, _ = small_dataset()
         with pytest.raises(DimensionMismatchError, match="disagree in length"):
-            make_split(x, y[:-1], 0.7, seed=0)
+            make_split(x, y[:-1], seed=0)
 
     def test_labels_are_not_truncated(self):
         # an int cast would read +-1.5 as +-1 and split without complaint
         x, y, _ = small_dataset()
         with pytest.raises(ValueError, match=r"labels must take values in \{-1, \+1\}"):
-            make_split(x, 1.5 * y, 0.7, seed=0)
+            make_split(x, 1.5 * y, seed=0)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_non_finite_feature_is_named_in_caller_coordinates(self, seed):
@@ -79,7 +74,7 @@ class TestMakeSplit:
         x, y, _ = small_dataset()
         x[41, 3] = np.nan
         with pytest.raises(NumericError, match=r"^non-finite value for entry \(41, 3\)$"):
-            make_split(x, y, 0.7, seed=seed)
+            make_split(x, y, seed=seed)
 
 
 class TestInitMask:
@@ -334,14 +329,14 @@ class TestRunExperiment:
         def fit(obs, labels, cfg, warm_start=None):
             calls.append(None)
             if len(calls) == 5:  # replicate 0 fits rounds 1-3, then replicate 1
-                raise DivergenceError("non-finite objective at inner step 7", 7)
+                raise DivergenceError("solver diverged: non-finite objective at inner step 7")
             return real_fit(obs, labels, cfg, warm_start=warm_start)
 
         monkeypatch.setattr(harness, "fit", fit)
-        with pytest.raises(DivergenceError, match="replicate 1, round 2") as info:
+        with pytest.raises(DivergenceError) as info:
             run_experiment(self.plan(rounds=3, replicates=2), x, y)
-        assert info.value.iteration == 7
-        assert "inner step 7" in str(info.value)
+        assert str(info.value) == (
+            "replicate 1, round 2: solver diverged: non-finite objective at inner step 7")
 
     def test_record_fields_are_complete(self):
         x, y, _ = small_dataset()

@@ -76,7 +76,7 @@ class TestPartialMatrix:
         mask = np.array([[True, False], [False, True]])
         pm = PartialMatrix(values, mask)
         np.testing.assert_array_equal(pm.values, [[1.0, 0.0], [0.0, 4.0]])
-        assert pm.n_rows == 2 and pm.n_cols == 2
+        assert pm.shape == (2, 2)
 
     def test_observe_is_one_way(self):
         pm = PartialMatrix(np.zeros((2, 2)), np.zeros((2, 2), bool))

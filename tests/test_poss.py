@@ -119,24 +119,24 @@ class TestDrawFlips:
 
 class TestArchive:
     def test_insert_evicts_weakly_dominated(self):
-        archive = SolutionArchive([Solution(np.array([0, 1]), -3.0, 2.0)])
+        archive = SolutionArchive(Solution(np.array([0, 1]), -3.0, 2.0))
         archive.insert(Solution(np.array([1, 1]), -4.0, 2.0))
         assert len(archive) == 1
         assert archive.solutions[0].j1 == -4.0
 
     def test_incomparable_members_coexist(self):
-        archive = SolutionArchive([Solution(np.array([1, 0]), -3.0, 1.0)])
+        archive = SolutionArchive(Solution(np.array([1, 0]), -3.0, 1.0))
         assert not archive.weakly_dominated(-5.0, 2.0)
         archive.insert(Solution(np.array([0, 1]), -5.0, 2.0))
         assert len(archive) == 2
         assert archive.mutually_nondominated()
 
     def test_duplicate_objectives_are_weakly_dominated(self):
-        archive = SolutionArchive([Solution(np.array([1, 0]), -3.0, 1.0)])
+        archive = SolutionArchive(Solution(np.array([1, 0]), -3.0, 1.0))
         assert archive.weakly_dominated(-3.0, 1.0)
 
     def test_kept_sorted_by_cost(self):
-        archive = SolutionArchive([Solution(np.array([1, 1, 0]), -6.0, 3.0)])
+        archive = SolutionArchive(Solution(np.array([1, 1, 0]), -6.0, 3.0))
         archive.insert(Solution(np.array([1, 0, 0]), -2.0, 1.0))
         archive.insert(Solution(np.array([0, 1, 0]), -4.0, 2.0))
         archive.insert(Solution(np.array([0, 0, 1]), -1.0, 0.5))
@@ -144,11 +144,6 @@ class TestArchive:
         # (-4.5, 1.0) evicts the members costing 1 and 2, and only those
         archive.insert(Solution(np.array([1, 0, 1]), -4.5, 1.0))
         assert [(s.j1, s.j2) for s in archive.solutions] == [(-1.0, 0.5), (-4.5, 1.0), (-6.0, 3.0)]
-
-    def test_dominated_members_rejected(self):
-        with pytest.raises(ValueError):
-            SolutionArchive([Solution(np.array([1, 0]), -3.0, 1.0),
-                             Solution(np.array([0, 1]), -2.0, 2.0)])
 
 
 class TestPossOptimize:
