@@ -1,7 +1,6 @@
 """Supervised low-rank matrix completion with active feature acquisition."""
 
 from .acquisition import (
-    CostModel,
     InformativenessTracker,
     informativeness,
     select_cost_ratio,
@@ -42,7 +41,6 @@ __all__ = [
     "BoundParams",
     "CompletionConfig",
     "CompletionResult",
-    "CostModel",
     "ExperimentPlan",
     "ExperimentResult",
     "InformativenessTracker",

@@ -9,27 +9,13 @@ the solver cannot pin down, so they are worth querying.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatchError
 from .matrix import _as_mask, _as_matrix
-
-
-@dataclass
-class CostModel:
-    """Per-column acquisition prices."""
-
-    column_costs: np.ndarray
-
-    def __post_init__(self):
-        self.column_costs = np.asarray(self.column_costs, dtype=float)
-        if self.column_costs.ndim != 1:
-            raise DimensionMismatchError("column_costs must be a 1-d vector")
-        if not (self.column_costs > 0).all():
-            raise ValueError("all column costs must be positive")
 
 
 class InformativenessTracker:
@@ -43,9 +29,9 @@ class InformativenessTracker:
     """
 
     def __init__(self, window: int = 0):
-        if window < 0 or window == 1:
+        self.window = operator.index(window)  # a float fails here instead of truncating
+        if self.window < 0 or self.window == 1:
             raise ValueError("window must be 0 (unbounded) or at least 2")
-        self.window = int(window)
         self._kept: deque[np.ndarray] = deque(maxlen=self.window or None)
 
     @property
@@ -86,20 +72,15 @@ def rank_entries(rows, cols, keys, k: int) -> np.ndarray:
     return np.lexsort((cols, rows, -keys))[:k]
 
 
-def _top_entries(rows, cols, keys, k: int) -> list[tuple[int, int]]:
-    top = rank_entries(rows, cols, keys, k)
-    return list(zip(rows[top].tolist(), cols[top].tolist()))
+def select_top_k(scored, k: int) -> np.ndarray:
+    """Positions of the k top scores in ``(rows, cols, scores)``; none from an empty pool."""
+    return rank_entries(*scored, k)
 
 
-def select_top_k(scored, k: int) -> list[tuple[int, int]]:
-    """The k highest-scoring entries of ``(rows, cols, scores)``; none from an empty pool."""
-    return _top_entries(*scored, k)
+def select_cost_ratio(scored, column_costs, k: int) -> np.ndarray:
+    """Positions of the top k entries of ``(rows, cols, scores)`` by score over column price.
 
-
-def select_cost_ratio(scored, costs: CostModel, k: int) -> list[tuple[int, int]]:
-    """Top k entries of ``(rows, cols, scores)`` by score over column cost.
-
-    None from an empty pool.
+    ``column_costs`` holds one price per column. None from an empty pool.
     """
     rows, cols, scores = scored
-    return _top_entries(rows, cols, scores / costs.column_costs[cols], k)
+    return rank_entries(rows, cols, scores / np.asarray(column_costs, dtype=float)[cols], k)

@@ -17,7 +17,6 @@ from dataclasses import astuple, dataclass, field
 import numpy as np
 
 from .acquisition import (
-    CostModel,
     InformativenessTracker,
     informativeness,
     rank_entries,
@@ -215,53 +214,43 @@ def masked_problem(features, mask, standardize: bool, *others):
     return (PartialMatrix(x_true, mask), x_true, *extra)
 
 
-def _random_batch(rows, cols, size, rng):
-    chosen = np.sort(rng.choice(len(rows), size=min(size, len(rows)), replace=False))
-    return list(zip(rows[chosen].tolist(), cols[chosen].tolist()))
-
-
-def _random_within_budget(rows, cols, costs, budget, rng):
-    order = rng.permutation(len(rows))
+def _random_within_budget(prices, budget, rng) -> np.ndarray:
+    """Positions met in a random order of the pool, each kept if it still fits the budget."""
+    order = rng.permutation(len(prices))
     picked, spent = [], 0.0
-    for row, col in zip(rows[order].tolist(), cols[order].tolist()):
-        price = float(costs.column_costs[col])
+    for position, price in zip(order.tolist(), prices[order].tolist()):
         if spent + price <= budget:
-            picked.append((row, col))
+            picked.append(position)
             spent += price
-    return picked
+    return np.array(picked, dtype=int)
 
 
 def _select_batch(plan: ExperimentPlan, tracker: InformativenessTracker,
-                  obs: PartialMatrix, costs: CostModel,
+                  obs: PartialMatrix, column_costs: np.ndarray,
                   rng: np.random.Generator) -> list[tuple[int, int]]:
-    if obs.mask.all():
-        return []
-
+    """The next batch of missing entries; none once the pool is empty or nothing fits the budget."""
     # Random picks among the missing entries; so do the scored strategies
     # until the tracker holds the two snapshots variance scores need.
     if plan.strategy == "random" or tracker.retained < 2:
         rows, cols = np.nonzero(~obs.mask)
         if plan.strategy == "poss":
-            return _random_within_budget(rows, cols, costs, plan.budget_per_round, rng)
-        return _random_batch(rows, cols, plan.batch_size, rng)
-
-    scored = informativeness(tracker, obs.mask)
-    if plan.strategy == "variance":
-        return select_top_k(scored, plan.batch_size)
-    if plan.strategy == "cost_ratio":
-        return select_cost_ratio(scored, costs, plan.batch_size)
-
-    # poss: restrict the pool to the highest-variance entries so the bit
-    # vectors stay short, then optimize the batch under the round budget.
-    rows, cols, scores = scored
-    pool = rank_entries(rows, cols, scores, plan.poss_pool)
-    problem = BiObjectiveProblem(
-        candidates=list(zip(rows[pool].tolist(), cols[pool].tolist())),
-        informativeness=scores[pool],
-        costs=costs.column_costs[cols[pool]],
-        budget=plan.budget_per_round,
-    )
-    return poss_optimize(problem, iterations=plan.poss_iterations, rng=rng)
+            chosen = _random_within_budget(column_costs[cols], plan.budget_per_round, rng)
+        else:
+            chosen = np.sort(rng.choice(len(rows), min(plan.batch_size, len(rows)), replace=False))
+    else:
+        rows, cols, scores = informativeness(tracker, obs.mask)
+        if plan.strategy == "variance":
+            chosen = select_top_k((rows, cols, scores), plan.batch_size)
+        elif plan.strategy == "cost_ratio":
+            chosen = select_cost_ratio((rows, cols, scores), column_costs, plan.batch_size)
+        else:
+            # poss: restrict the pool to the highest-variance entries so the
+            # bit vectors stay short, then optimize the batch under the round budget.
+            pool = rank_entries(rows, cols, scores, plan.poss_pool)
+            problem = BiObjectiveProblem(scores[pool], column_costs[cols[pool]],
+                                         plan.budget_per_round)
+            chosen = pool[poss_optimize(problem, iterations=plan.poss_iterations, rng=rng)]
+    return list(zip(rows[chosen].tolist(), cols[chosen].tolist()))
 
 
 def _replicate_streams(seed: int, replicate: int):
@@ -282,7 +271,6 @@ def run_replicate(plan: ExperimentPlan, features: np.ndarray, labels: np.ndarray
         column_costs = np.random.default_rng(cost_ss).integers(1, 11, size=d).astype(float)
     else:
         column_costs = np.ones(d)
-    costs = CostModel(column_costs)
 
     obs, x_true, test_x = masked_problem(x_train, mask, plan.standardize, x_test)
     tracker = InformativenessTracker(plan.window)
@@ -305,14 +293,14 @@ def run_replicate(plan: ExperimentPlan, features: np.ndarray, labels: np.ndarray
         scores = score_fit(result, x_true, test_x, y_test)
         records.append(RoundRecord(round_index, cumulative_cost, queried, *scores))
 
-        batch = _select_batch(plan, tracker, obs, costs, select_rng)
+        batch = _select_batch(plan, tracker, obs, column_costs, select_rng)
         if not batch:
             # nothing left to buy, or nothing affordable this round; further
             # rounds would stall too
             break
         for row, col in batch:
             obs.observe(row, col, x_true[row, col])
-        cumulative_cost += float(sum(costs.column_costs[col] for _, col in batch))
+        cumulative_cost += float(sum(column_costs[col] for _, col in batch))
         queried += len(batch)
         queries.append(batch)
 

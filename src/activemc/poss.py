@@ -1,7 +1,8 @@
 """Budgeted batch selection as bi-objective Pareto subset optimization.
 
-Candidates are missing entries with a score (to maximize) and a per-column
-cost (to minimize). Subsets are bit vectors rated on two objectives:
+Candidates are the positions 0..n-1 of a pool, each with a score (to
+maximize) and a cost (to minimize); the caller maps positions back to
+entries. Subsets are bit vectors rated on two objectives:
 j1 = minus the total score, with a +inf sentinel for the empty subset and
 for subsets costing at least twice the budget; j2 = the total cost. An
 evolutionary loop (POMC, after Qian, Yu & Zhou 2015 and Qian et al. 2017)
@@ -33,7 +34,8 @@ _CHUNK = 1024
 
 @dataclass
 class BiObjectiveProblem:
-    candidates: list[tuple[int, int]]
+    """A pool of candidates: per position a score and a cost, and one budget for their sum."""
+
     informativeness: np.ndarray
     costs: np.ndarray
     budget: float
@@ -41,20 +43,17 @@ class BiObjectiveProblem:
     def __post_init__(self):
         self.informativeness = np.asarray(self.informativeness, dtype=float)
         self.costs = np.asarray(self.costs, dtype=float)
-        n = len(self.candidates)
-        if len(set(self.candidates)) != n:
-            raise ValueError("candidate entries must be distinct")
-        if self.informativeness.shape != (n,) or self.costs.shape != (n,):
-            raise DimensionMismatchError("scores and costs must match the candidate count")
-        if n and not (self.costs > 0).all():
+        if self.informativeness.ndim != 1 or self.costs.shape != self.informativeness.shape:
+            raise DimensionMismatchError("scores and costs must be 1-d vectors of one length")
+        if not (self.costs > 0).all():
             raise ValueError("all candidate costs must be positive")
-        if n and not (self.informativeness >= 0).all():
+        if not (self.informativeness >= 0).all():
             raise ValueError("informativeness must be nonnegative")
         if not 0 < self.budget < math.inf:  # NaN fails too
             raise ValueError("budget must be positive and finite")
 
     def __len__(self) -> int:
-        return len(self.candidates)
+        return len(self.informativeness)
 
 
 @dataclass
@@ -74,10 +73,6 @@ def evaluate(problem: BiObjectiveProblem, bits) -> Solution:
     else:
         j1 = -float(problem.informativeness[b].sum())
     return Solution(bits=b.copy(), j1=j1, j2=j2)
-
-
-def dominates(a: Solution, b: Solution) -> bool:
-    return (a.j1 <= b.j1 and a.j2 <= b.j2) and (a.j1 < b.j1 or a.j2 < b.j2)
 
 
 class SolutionArchive:
@@ -118,14 +113,6 @@ class SolutionArchive:
         if i < 0 or not math.isfinite(self._j1[i]):
             return None
         return self.solutions[i]
-
-    def mutually_nondominated(self) -> bool:
-        """Full pairwise check; used by tests and debug assertions."""
-        for i, a in enumerate(self.solutions):
-            for j, b in enumerate(self.solutions):
-                if i != j and dominates(a, b):
-                    return False
-        return True
 
 
 def default_iterations(problem: BiObjectiveProblem) -> int:
@@ -205,27 +192,28 @@ def _evolve(problem: BiObjectiveProblem, iterations: int, rng: np.random.Generat
 
 
 def poss_optimize(problem: BiObjectiveProblem, iterations: int | None = None, *,
-                  rng: np.random.Generator) -> list[tuple[int, int]]:
-    """Evolve the archive, then return the best in-budget subset's entries.
+                  rng: np.random.Generator) -> np.ndarray:
+    """Evolve the archive, then return the best in-budget subset's positions, ascending.
 
     Starts from the empty subset; each iteration mutates a uniformly chosen
     archived solution, flipping each bit with probability 1/n, and keeps it
     only if nothing archived is at least as good in both objectives.
-    ``iterations`` defaults to ``default_iterations(problem)``.
-    Deterministic for a given seeded ``rng``.
+    ``iterations`` defaults to ``default_iterations(problem)``. None from an
+    empty pool or when nothing fits the budget. Deterministic for a given
+    seeded ``rng``.
     """
     if iterations is not None and iterations < 1:
         raise ValueError("iterations must be at least 1")
     n = len(problem)
     if n == 0:
-        return []
+        return np.zeros(0, dtype=int)
     if iterations is None:
         iterations = default_iterations(problem)
 
     best = _evolve(problem, iterations, rng, 1.0 / n).best_within(problem.budget)
     if best is None:
-        return []
-    return [problem.candidates[i] for i in np.nonzero(best.bits)[0]]
+        return np.zeros(0, dtype=int)
+    return np.flatnonzero(best.bits)
 
 
 def exhaustive_optimum(problem: BiObjectiveProblem) -> tuple[float, np.ndarray]:

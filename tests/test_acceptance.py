@@ -190,14 +190,9 @@ def test_criterion_07_poss_matches_exhaustive():
     for _ in range(100):
         gains = rng.uniform(0.0, 10.0, size=10)
         costs = rng.integers(1, 11, size=10).astype(float)
-        problem = BiObjectiveProblem(
-            candidates=[(0, j) for j in range(10)],
-            informativeness=gains,
-            costs=costs,
-            budget=0.5 * float(costs.sum()),
-        )
+        problem = BiObjectiveProblem(gains, costs, budget=0.5 * float(costs.sum()))
         chosen = poss_optimize(problem, rng=rng)  # default iteration budget
-        achieved = sum(gains[j] for _, j in chosen)
+        achieved = sum(gains[j] for j in chosen)
         optimum, _ = exhaustive_optimum(problem)
         agree += int(abs(achieved - optimum) <= 1e-9)
     _report(7, "poss matches exhaustive optimum", agree >= 95, f"{agree}/100 pools")
