@@ -6,7 +6,6 @@ from .acquisition import (
     select_cost_ratio,
     select_top_k,
 )
-from .bounds import BoundParams, Lemma3Result, lemma3_check, theorem1_bound
 from .completion import (
     CompletionConfig,
     CompletionResult,
@@ -31,32 +30,28 @@ from .linear_model import (
     decision_values,
     train_ridge,
 )
-from .matrix import PartialMatrix, coherence, trace_norm
+from .matrix import PartialMatrix, trace_norm
 from .poss import BiObjectiveProblem, poss_optimize
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BiObjectiveProblem",
-    "BoundParams",
     "CompletionConfig",
     "CompletionResult",
     "ExperimentPlan",
     "ExperimentResult",
     "InformativenessTracker",
-    "Lemma3Result",
     "LinearModel",
     "PartialMatrix",
     "RoundRecord",
     "accuracy",
     "auc",
-    "coherence",
     "decision_values",
     "fit",
     "grad_g",
     "informativeness",
     "init_mask",
-    "lemma3_check",
     "load_dataset",
     "make_split",
     "poss_optimize",
@@ -65,7 +60,6 @@ __all__ = [
     "select_cost_ratio",
     "select_top_k",
     "svt",
-    "theorem1_bound",
     "trace_norm",
     "train_ridge",
     "write_dataset",

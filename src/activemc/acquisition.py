@@ -80,7 +80,12 @@ def select_top_k(scored, k: int) -> np.ndarray:
 def select_cost_ratio(scored, column_costs, k: int) -> np.ndarray:
     """Positions of the top k entries of ``(rows, cols, scores)`` by score over column price.
 
-    ``column_costs`` holds one price per column. None from an empty pool.
+    ``column_costs`` holds one price per column, each positive and finite;
+    the first that is not is named. None from an empty pool.
     """
     rows, cols, scores = scored
-    return rank_entries(rows, cols, scores / np.asarray(column_costs, dtype=float)[cols], k)
+    prices = np.asarray(column_costs, dtype=float)
+    bad = np.flatnonzero(~((0 < prices) & (prices < np.inf)))
+    if bad.size:
+        raise ValueError(f"column {bad[0]} price must be positive and finite, got {prices[bad[0]]}")
+    return rank_entries(rows, cols, scores / prices[cols], k)

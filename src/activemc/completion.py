@@ -31,7 +31,7 @@ subproblem is solved no more finely than the alternation is moving
 two steps from each warm start carry no momentum: each is a plain
 proximal step at ``1 / L``, which lowers the objective ``F`` by at least
 ``(L / 2) * ||x+ - x||^2`` (Beck & Teboulle 2009). A relative change
-below a tolerance ``t`` there bounds the gradient mapping,
+below a tolerance ``t`` there caps the gradient mapping,
 ``||L * (x - x+)|| <= sqrt(2 * L * t * |F|)``, so either step may stop
 the loop. Momentum steps do not decrease ``F`` monotonically, and stop
 only after ``_MIN_INNER_STEPS``.
@@ -69,7 +69,7 @@ from .linear_model import LinearModel, _as_labels, train_ridge
 from .matrix import PartialMatrix, _as_matrix, _check_finite, trace_norm
 
 # The two momentum-free steps from each warm start may stop the inner loop
-# on tolerance: a plain proximal step's decrease bounds the gradient mapping.
+# on tolerance: a plain proximal step's decrease caps the gradient mapping.
 # Momentum steps are not monotone and need a few steps before the
 # objective-change signal means anything, so past those two the loop never
 # stops on tolerance before this many steps.

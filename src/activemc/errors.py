@@ -9,10 +9,6 @@ class NumericError(ValueError):
     """Input contains NaN or infinite entries."""
 
 
-class UndefinedCoherenceError(ValueError):
-    """Coherence requested for a matrix with no nonzero singular value."""
-
-
 class RankDeficiencyError(ValueError):
     """Unregularized least squares hit a singular normal system."""
 

@@ -1,4 +1,4 @@
-"""Partially observed matrices and the dense linear algebra behind them.
+"""A partially observed matrix and its trace norm.
 
 Everything operates on float64 numpy arrays. Matrices at the scale this
 package targets (up to a few tens of thousands of rows and ~100 columns)
@@ -11,11 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NumericError, UndefinedCoherenceError
-
-# Singular values below this fraction of the largest count as zero when
-# deciding the numerical rank used by coherence().
-RANK_RTOL = 1e-10
+from .errors import DimensionMismatchError, NumericError
 
 
 def _as_matrix(m) -> np.ndarray:
@@ -81,20 +77,3 @@ def trace_norm(m) -> float:
     """Sum of singular values (nuclear norm)."""
     a = _check_finite(_as_matrix(m))
     return float(np.linalg.svd(a, compute_uv=False).sum())
-
-
-def coherence(m) -> float:
-    """Largest row norm among the singular-vector factors of ``m``.
-
-    The factors are truncated to the numerical rank (singular values above
-    ``RANK_RTOL`` times the largest). Lives in (0, 1]; large values flag a
-    matrix whose mass is concentrated in few rows or columns.
-    """
-    a = _check_finite(_as_matrix(m))
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    if s.size == 0 or s[0] <= 0.0:
-        raise UndefinedCoherenceError("coherence is undefined for a zero matrix")
-    r = int(np.count_nonzero(s > RANK_RTOL * s[0]))
-    u_rows = np.linalg.norm(u[:, :r], axis=1)
-    v_rows = np.linalg.norm(vh[:r, :], axis=0)
-    return float(max(u_rows.max(), v_rows.max()))

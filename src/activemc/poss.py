@@ -45,10 +45,10 @@ class BiObjectiveProblem:
         self.costs = np.asarray(self.costs, dtype=float)
         if self.informativeness.ndim != 1 or self.costs.shape != self.informativeness.shape:
             raise DimensionMismatchError("scores and costs must be 1-d vectors of one length")
-        if not (self.costs > 0).all():
-            raise ValueError("all candidate costs must be positive")
-        if not (self.informativeness >= 0).all():
-            raise ValueError("informativeness must be nonnegative")
+        if not ((0 < self.costs) & (self.costs < math.inf)).all():
+            raise ValueError("all candidate costs must be positive and finite")
+        if not ((0 <= self.informativeness) & (self.informativeness < math.inf)).all():
+            raise ValueError("informativeness must be finite and nonnegative")
         if not 0 < self.budget < math.inf:  # NaN fails too
             raise ValueError("budget must be positive and finite")
 
@@ -113,15 +113,6 @@ class SolutionArchive:
         if i < 0 or not math.isfinite(self._j1[i]):
             return None
         return self.solutions[i]
-
-
-def default_iterations(problem: BiObjectiveProblem) -> int:
-    """Mutation budget scaled to the largest subset the sentinel lets through."""
-    n = len(problem)
-    if n == 0:
-        return 1
-    cardinality_cap = min(n, math.ceil(2.0 * problem.budget / float(problem.costs.min())))
-    return max(1, math.ceil(2.0 * math.e * cardinality_cap**2 * n))
 
 
 def _draw_flips(n: int, flip_prob: float, size: int,
@@ -191,40 +182,23 @@ def _evolve(problem: BiObjectiveProblem, iterations: int, rng: np.random.Generat
     return archive
 
 
-def poss_optimize(problem: BiObjectiveProblem, iterations: int | None = None, *,
+def poss_optimize(problem: BiObjectiveProblem, iterations: int, *,
                   rng: np.random.Generator) -> np.ndarray:
     """Evolve the archive, then return the best in-budget subset's positions, ascending.
 
-    Starts from the empty subset; each iteration mutates a uniformly chosen
-    archived solution, flipping each bit with probability 1/n, and keeps it
-    only if nothing archived is at least as good in both objectives.
-    ``iterations`` defaults to ``default_iterations(problem)``. None from an
-    empty pool or when nothing fits the budget. Deterministic for a given
-    seeded ``rng``.
+    Starts from the empty subset; each of the ``iterations`` mutates a
+    uniformly chosen archived solution, flipping each bit with probability
+    1/n, and keeps it only if nothing archived is at least as good in both
+    objectives. None from an empty pool or when nothing fits the budget.
+    Deterministic for a given seeded ``rng``.
     """
-    if iterations is not None and iterations < 1:
+    if iterations < 1:
         raise ValueError("iterations must be at least 1")
     n = len(problem)
     if n == 0:
         return np.zeros(0, dtype=int)
-    if iterations is None:
-        iterations = default_iterations(problem)
 
     best = _evolve(problem, iterations, rng, 1.0 / n).best_within(problem.budget)
     if best is None:
         return np.zeros(0, dtype=int)
     return np.flatnonzero(best.bits)
-
-
-def exhaustive_optimum(problem: BiObjectiveProblem) -> tuple[float, np.ndarray]:
-    """Brute-force best total score under the budget; small pools only."""
-    n = len(problem)
-    if n > 20:
-        raise ValueError("exhaustive search is limited to 20 candidates")
-    patterns = ((np.arange(2**n)[:, None] >> np.arange(n)) & 1).astype(bool)
-    total_cost = patterns @ problem.costs
-    total_gain = patterns @ problem.informativeness
-    feasible = total_cost <= problem.budget
-    total_gain[~feasible] = -np.inf
-    best = int(np.argmax(total_gain))
-    return float(total_gain[best]), patterns[best]

@@ -216,6 +216,12 @@ class TestSelection:
         scored = entries((0, 0, 4.0), (0, 1, 3.0))
         assert select_cost_ratio(scored, np.array([4.0, 1.0]), 1).tolist() == [1]
 
+    @pytest.mark.parametrize("price", [0.0, -1.0, np.nan, np.inf])
+    def test_price_not_positive_and_finite_is_named(self, price):
+        # a free column used to rank first, a negative one last, NaN silently
+        with pytest.raises(ValueError, match=r"^column 1 price must be positive and finite, got "):
+            select_cost_ratio(self.scores(), np.array([1.0, price]), 2)
+
     def test_cost_doubling_leaves_selection_unchanged(self):
         rng = np.random.default_rng(4)
         scored = entries(*[(i, j, float(rng.uniform(0, 5))) for i in range(4) for j in range(3)])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from paper_checks import default_iterations, knapsack_optimum
 
 from activemc.errors import DimensionMismatchError
 from activemc.poss import (
@@ -12,9 +13,7 @@ from activemc.poss import (
     SolutionArchive,
     _draw_flips,
     _evolve,
-    default_iterations,
     evaluate,
-    exhaustive_optimum,
     poss_optimize,
 )
 
@@ -184,9 +183,9 @@ class TestPossOptimize:
             gains = rng.uniform(0, 10, size=8)
             costs = rng.integers(1, 11, size=8).astype(float)
             p = small_problem(gains, costs, 0.5 * costs.sum())
-            chosen = poss_optimize(p, rng=rng)
+            chosen = poss_optimize(p, default_iterations(p), rng=rng)
             achieved = sum(gains[j] for j in chosen)
-            best, _ = exhaustive_optimum(p)
+            best = knapsack_optimum(gains, costs, p.budget)
             agree += int(abs(achieved - best) <= 1e-9)
         assert agree >= 18
 
@@ -213,7 +212,7 @@ class TestPossOptimize:
 
     def test_empty_pool(self):
         p = BiObjectiveProblem(np.array([]), np.array([]), 1.0)
-        chosen = poss_optimize(p, rng=np.random.default_rng(0))
+        chosen = poss_optimize(p, 100, rng=np.random.default_rng(0))
         assert chosen.size == 0 and chosen.dtype.kind == "i"
 
 
@@ -256,6 +255,8 @@ class TestEvolveProperties:
 
 
 class TestDefaults:
+    """The helpers criterion 7 relies on: POSS's default budget and the exact reference."""
+
     def test_default_iterations_scales_with_pool(self):
         p5 = small_problem([1.0] * 5, [1.0] * 5, 2.0)
         p10 = small_problem([1.0] * 10, [1.0] * 10, 2.0)
@@ -266,10 +267,20 @@ class TestDefaults:
         p = small_problem([1.0] * 10, [1.0] * 10, 1e6)
         assert default_iterations(p) <= math.ceil(2 * math.e * 10**2 * 10)
 
-    def test_exhaustive_guard(self):
-        p = small_problem([1.0] * 21, [1.0] * 21, 5.0)
-        with pytest.raises(ValueError):
-            exhaustive_optimum(p)
+    def test_knapsack_matches_enumeration(self):
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            n = int(rng.integers(1, 13))
+            gains = rng.uniform(0.0, 10.0, size=n)
+            costs = rng.integers(1, 11, size=n).astype(float)
+            budget = float(rng.uniform(0.0, 1.2) * costs.sum())  # fractional
+            patterns = ((np.arange(2**n)[:, None] >> np.arange(n)) & 1).astype(bool)
+            expected = (patterns @ gains)[patterns @ costs <= budget].max()
+            assert knapsack_optimum(gains, costs, budget) == pytest.approx(expected, abs=1e-12)
+
+    def test_knapsack_rejects_a_fractional_cost(self):
+        with pytest.raises(ValueError, match="whole-number costs"):
+            knapsack_optimum([1.0, 2.0], [1.0, 1.5], 3.0)
 
 
 class TestProblemValidation:
@@ -286,8 +297,18 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             small_problem([-1.0], [1.0], 1.0)
 
+    @pytest.mark.parametrize("score", [math.inf, math.nan])
+    def test_non_finite_informativeness_rejected(self, score):
+        # an infinite score made j1 = -inf, which best_within reads as "nothing fits"
+        with pytest.raises(ValueError, match="^informativeness must be finite and nonnegative$"):
+            small_problem([1.0, score], [1.0, 1.0], 2.0)
+
+    @pytest.mark.parametrize("cost", [math.inf, math.nan])
+    def test_non_finite_cost_rejected(self, cost):
+        with pytest.raises(ValueError, match="^all candidate costs must be positive and finite$"):
+            small_problem([1.0, 1.0], [1.0, cost], 2.0)
+
     @pytest.mark.parametrize("budget", [0.0, -1.0, math.nan, math.inf])
     def test_nonpositive_or_non_finite_budget_rejected(self, budget):
-        # a NaN or infinite budget used to reach default_iterations' int()
         with pytest.raises(ValueError, match="^budget must be positive and finite$"):
             small_problem([1.0], [1.0], budget)
