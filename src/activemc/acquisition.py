@@ -65,16 +65,12 @@ def informativeness(tracker: InformativenessTracker,
     return rows, cols, grid[rows, cols]
 
 
-def rank_entries(rows, cols, keys, k: int) -> np.ndarray:
-    """Positions of the k largest keys, ties broken by (row, col); none from an empty pool."""
+def select_top_k(scored, k: int) -> np.ndarray:
+    """Positions of the k top scores in ``(rows, cols, scores)``, ties by row, then column."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    return np.lexsort((cols, rows, -keys))[:k]
-
-
-def select_top_k(scored, k: int) -> np.ndarray:
-    """Positions of the k top scores in ``(rows, cols, scores)``; none from an empty pool."""
-    return rank_entries(*scored, k)
+    rows, cols, scores = scored
+    return np.lexsort((cols, rows, -scores))[:k]
 
 
 def select_cost_ratio(scored, column_costs, k: int) -> np.ndarray:
@@ -88,4 +84,4 @@ def select_cost_ratio(scored, column_costs, k: int) -> np.ndarray:
     bad = np.flatnonzero(~((0 < prices) & (prices < np.inf)))
     if bad.size:
         raise ValueError(f"column {bad[0]} price must be positive and finite, got {prices[bad[0]]}")
-    return rank_entries(rows, cols, scores / prices[cols], k)
+    return select_top_k((rows, cols, scores / prices[cols]), k)

@@ -94,8 +94,10 @@ def load_dataset(path, *, label_col: str | int = "last", positive_label: str | i
     hold -1/+1 values. A leading UTF-8 byte-order mark is skipped. A header
     must name as many columns as the data rows hold.
 
-    Each row becomes a float vector as it is read, so loading holds about
-    the feature matrix plus one row of text.
+    The first bad cell is named in reading order: rows in file order, and
+    within a row the feature cells by column, then the label. Each row
+    becomes a float vector as it is read, so loading holds about the
+    feature matrix plus one row of text.
     """
     path = Path(path)
     if not path.exists():
@@ -126,9 +128,6 @@ def load_dataset(path, *, label_col: str | int = "last", positive_label: str | i
         label_idx = _resolve_label_index(label_col, header, width)
 
         features, labels = [], []
-        # the first non-finite cell as (line, column, token); it is reported
-        # only once every row has parsed, so a malformed row anywhere wins
-        non_finite = None
         for line_num, row in itertools.chain([first], rows):
             if len(row) != width:
                 raise DatasetFormatError(
@@ -138,24 +137,21 @@ def load_dataset(path, *, label_col: str | int = "last", positive_label: str | i
             try:
                 feat = np.fromiter(map(float, row), dtype=float, count=width - 1)
             except ValueError:
+                feat = None
+            if feat is None or not np.isfinite(feat).all():
+                # the row holds a bad feature cell; name the first
                 for j, cell in enumerate(row):
+                    where = f"{path} line {line_num}, column {j + (j >= label_idx) + 1}"
                     try:
-                        float(cell)
+                        finite = math.isfinite(float(cell))
                     except ValueError:
-                        raise DatasetFormatError(
-                            f"{path} line {line_num}, column {j + (j >= label_idx) + 1}: "
-                            f"non-numeric value {cell!r}"
-                        )
+                        raise DatasetFormatError(f"{where}: non-numeric value {cell!r}")
+                    if not finite:
+                        raise DatasetFormatError(f"{where}: non-finite value {cell!r}")
             labels.append(_parse_label(label, positive_label,
                                        f"{path} line {line_num}, column {label_idx + 1}"))
             features.append(feat)
-            if non_finite is None and not np.isfinite(feat).all():
-                j = int(np.argmin(np.isfinite(feat)))
-                non_finite = (line_num, j + (j >= label_idx) + 1, row[j])
 
-    if non_finite is not None:
-        line_num, col, cell = non_finite
-        raise DatasetFormatError(f"{path} line {line_num}, column {col}: non-finite value {cell!r}")
     x = np.stack(features)
     y = np.asarray(labels, dtype=int)
     if y.min() == y.max():

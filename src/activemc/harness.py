@@ -19,7 +19,6 @@ import numpy as np
 from .acquisition import (
     InformativenessTracker,
     informativeness,
-    rank_entries,
     select_cost_ratio,
     select_top_k,
 )
@@ -244,9 +243,10 @@ def _select_batch(plan: ExperimentPlan, tracker: InformativenessTracker,
         elif plan.strategy == "cost_ratio":
             chosen = select_cost_ratio((rows, cols, scores), column_costs, plan.batch_size)
         else:
-            # poss: restrict the pool to the highest-variance entries so the
-            # bit vectors stay short, then optimize the batch under the round budget.
-            pool = rank_entries(rows, cols, scores, plan.poss_pool)
+            # poss: the pool is the highest-variance entries the round can afford,
+            # so the bit vectors stay short; optimize the batch under the budget.
+            ok = np.flatnonzero(column_costs[cols] <= plan.budget_per_round)
+            pool = ok[select_top_k((rows[ok], cols[ok], scores[ok]), plan.poss_pool)]
             problem = BiObjectiveProblem(scores[pool], column_costs[cols[pool]],
                                          plan.budget_per_round)
             chosen = pool[poss_optimize(problem, iterations=plan.poss_iterations, rng=rng)]

@@ -16,7 +16,7 @@ from activemc.completion import (
     objective,
     svt,
 )
-from activemc.errors import DimensionMismatchError, NumericError
+from activemc.errors import DimensionMismatchError, DivergenceError, NumericError
 from activemc.harness import init_mask, masked_problem, reconstruction_errors
 from activemc.linear_model import LinearModel, _as_labels, train_ridge
 from activemc.matrix import PartialMatrix, trace_norm
@@ -135,6 +135,12 @@ class TestObjective:
         obs = PartialMatrix(np.zeros((2, 2)), np.zeros((2, 2), bool))
         with pytest.raises(DimensionMismatchError):
             objective(np.zeros((3, 2)), obs, zero_model(2), np.array([1, -1]), CompletionConfig())
+
+    def test_model_width_mismatch(self):
+        obs = PartialMatrix(np.zeros((2, 2)), np.zeros((2, 2), bool))
+        with pytest.raises(DimensionMismatchError,
+                           match="^model width does not match column count$"):
+            objective(np.zeros((2, 2)), obs, zero_model(3), np.array([1, -1]), CompletionConfig())
 
 
 class TestGradG:
@@ -571,6 +577,16 @@ class TestFit:
         warm[2, 1] = np.inf
         with pytest.raises(NumericError, match=r"^non-finite value for entry \(2, 1\)$"):
             fit(obs, y, warm_start=warm)
+
+    def test_overflowing_step_is_a_divergence(self):
+        # finite data whose 50-term Gram sums overflow: the ridge refit of a
+        # 2-row matrix still fits, the first SVT step does not
+        x = 3e153 * np.random.default_rng(0).standard_normal((2, 50))
+        mask = np.ones(x.shape, dtype=bool)
+        mask[0, 0] = False
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                DivergenceError, match="^solver diverged: non-finite objective at inner step 0$"):
+            fit(PartialMatrix(x, mask), np.array([1, -1]))
 
     def test_fully_observed_returns_data_and_direct_model(self):
         rng = np.random.default_rng(9)

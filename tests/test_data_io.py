@@ -154,6 +154,46 @@ class TestLoadDataset:
             load_dataset(path, delimiter=delimiter)
         assert str(info.value) == inside_numbers(path, delimiter)
 
+    @pytest.mark.parametrize("text, kwargs, message", [
+        ("1,2,1\n3,4,-1\n", dict(label_col="target"),
+         "label column 'target' is a name but the file has no header"),
+        ("a,b,c\n1,2,1\n3,4,-1\n", dict(label_col="target", has_header=True),
+         "label column 'target' not found in header"),
+        ("1,2,1\n3,4,-1\n", dict(label_col=3), "label column index 3 out of range for 3 columns"),
+        ("1,2,1\n3,4,-1\n", dict(label_col=-4),
+         "label column index -4 out of range for 3 columns"),
+        ("1,2,1\n3,4,-1\n", dict(label_col="5"),
+         "label column index 5 out of range for 3 columns"),
+    ], ids=["name-without-header", "name-not-in-header", "index-past-end", "index-before-start",
+            "numeric-string"])
+    def test_label_column_resolved_or_named(self, tmp_path, text, kwargs, message):
+        path = write_text(tmp_path / "d.csv", text)
+        with pytest.raises(DatasetFormatError) as info:
+            load_dataset(path, **kwargs)
+        assert str(info.value) == message
+
+    def test_non_numeric_label_without_positive_label(self, tmp_path):
+        path = write_text(tmp_path / "d.csv", "1,2,-1\n3,4,yes\n")
+        with pytest.raises(DatasetFormatError) as info:
+            load_dataset(path)
+        assert str(info.value) == f"non-numeric label 'yes' at {path} line 2, column 3"
+
+    def test_numeric_label_against_a_class_name_maps_to_minus_one(self, tmp_path):
+        path = write_text(tmp_path / "d.csv", "1,2,yes\n3,4,1\n5,6,0\n")
+        _, labels = load_dataset(path, positive_label="yes")
+        np.testing.assert_array_equal(labels, [1, -1, -1])
+
+    @pytest.mark.parametrize("text, has_header, message", [
+        ("", False, "holds no data rows"),
+        ("\n ,\n\n", False, "holds no data rows"),
+        ("a,b,c\n\n", True, "holds a header but no data rows"),
+    ], ids=["empty", "blank-lines", "header-only"])
+    def test_no_data_rows(self, tmp_path, text, has_header, message):
+        path = write_text(tmp_path / "d.csv", text)
+        with pytest.raises(DatasetFormatError) as info:
+            load_dataset(path, has_header=has_header)
+        assert str(info.value) == f"{path} {message}"
+
     def test_unsigned_labels_need_positive_label(self, tmp_path):
         path = write_text(tmp_path / "d.csv", "1,2,3\n3,4,0\n")
         with pytest.raises(DatasetFormatError):
@@ -174,19 +214,33 @@ class TestLoadDataset:
         np.testing.assert_array_equal(labels, [1, -1])
         np.testing.assert_array_equal(features, [[2.0, 3.0], [4.0, 5.0]])
 
-    @pytest.mark.parametrize(
-        "line4, where",
-        [
-            ("7,oops,1", "line 4, column 2: non-numeric value 'oops'"),
-            ("7,1", "line 4: expected 3 columns, found 2"),
-            ("7,8,nan", "line 4, column 3: non-finite label 'nan'"),
-        ],
-        ids=["non-numeric", "ragged", "bad-label"],
-    )
-    def test_malformed_row_wins_over_earlier_non_finite_cell(self, tmp_path, line4, where):
+    @pytest.mark.parametrize("line4", ["7,oops,1", "7,1", "7,8,nan"],
+                             ids=["non-numeric", "ragged", "bad-label"])
+    def test_malformed_row_wins_over_earlier_non_finite_cell(self, tmp_path, line4):
+        # rows are read in file order, so the earlier non-finite cell is named
+        # and the malformed row after it is never reached
         path = write_text(tmp_path / "d.csv", f"1,2,1\nnan,4,0\n5,6,1\n{line4}\n")
-        with pytest.raises(DatasetFormatError, match=where):
+        with pytest.raises(DatasetFormatError) as info:
             load_dataset(path, positive_label="1")
+        assert str(info.value) == f"{path} line 2, column 1: non-finite value 'nan'"
+
+    @pytest.mark.parametrize(
+        "line2, label_col, where",
+        [
+            ("nan,oops,0", "last", "column 1: non-finite value 'nan'"),
+            ("oops,nan,0", "last", "column 1: non-numeric value 'oops'"),
+            ("inf,4,nan", "last", "column 1: non-finite value 'inf'"),
+            ("nan,4,inf", 0, "column 3: non-finite value 'inf'"),
+        ],
+        ids=["non-finite-then-non-numeric", "non-numeric-then-non-finite",
+             "feature-before-label", "feature-after-label"],
+    )
+    def test_first_bad_cell_of_a_row_in_reading_order(self, tmp_path, line2, label_col, where):
+        # feature cells by column, then the label, wherever the label column sits
+        path = write_text(tmp_path / "d.csv", f"1,2,1\n{line2}\n5,6,1\n")
+        with pytest.raises(DatasetFormatError) as info:
+            load_dataset(path, label_col=label_col, positive_label="1")
+        assert str(info.value) == f"{path} line 2, {where}"
 
     def test_first_non_finite_cell_in_file_order_reported(self, tmp_path):
         path = write_text(tmp_path / "d.csv", "1,2,3,1\n4,inf,-inf,0\nnan,5,6,1\n")

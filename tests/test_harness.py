@@ -281,6 +281,21 @@ class TestRunExperiment:
         for batch in result.queries[0]:
             assert sum(costs[j] for _, j in batch) <= 8.0 + 1e-12
 
+    def test_poss_pool_holds_only_affordable_entries(self):
+        # each replicate has a column priced within the budget, so every round
+        # can buy something even when the top-scored entries are all too dear
+        x, y, _ = small_dataset()
+        plan = self.plan(strategy="poss", cost_scheme="random", budget_per_round=3.0,
+                         poss_pool=3, poss_iterations=100, rounds=6)
+        result = run_experiment(plan, x, y)
+        from activemc.harness import _replicate_streams
+
+        for replicate, (records, batches) in enumerate(zip(result.replicates, result.queries)):
+            _, _, cost_ss, _ = _replicate_streams(plan.seed, replicate)
+            costs = np.random.default_rng(cost_ss).integers(1, 11, size=x.shape[1])
+            assert len(records) == 6 and len(batches) == 6
+            assert all(batch and sum(costs[j] for _, j in batch) <= 3 for batch in batches)
+
     def test_oracle_fidelity_through_queries(self):
         # with the penalties off, buying everything must drive the recovery
         # to the exact matrix, which requires every answered query be exact

@@ -56,6 +56,23 @@ class TestTrainRidge:
         with pytest.raises(ValueError):
             train_ridge(np.eye(2), np.array([1, 0]))
 
+    def test_singular_solve_with_a_vanishing_ridge(self):
+        # a ridge of 1e-30 rounds away against Gram entries of 3, so the
+        # solve meets an exactly singular system the ridge == 0 check never sees
+        with pytest.raises(RankDeficiencyError, match="^Singular matrix$"):
+            train_ridge(np.ones((3, 2)), np.array([1, -1, 1]), ridge=1e-30)
+
+    @pytest.mark.parametrize("x, labels, ridge, error, message", [
+        (np.empty((0, 2)), np.array([], dtype=int), 0.0, ValueError,
+         "need at least one training row"),
+        (np.eye(2), np.array([1, -1, 1]), 0.0, DimensionMismatchError,
+         "labels length does not match feature rows"),
+        (np.eye(2), np.array([1, -1]), -0.5, ValueError, "ridge must be nonnegative"),
+    ], ids=["no-rows", "length-mismatch", "negative-ridge"])
+    def test_inputs_checked(self, x, labels, ridge, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            train_ridge(x, labels, ridge)
+
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), d=st.integers(1, 12),
            ridge=st.floats(0.1, 10.0))
     @settings(max_examples=200, deadline=None)
@@ -103,6 +120,18 @@ class TestAsLabels:
             np.testing.assert_array_equal(y, labels)
 
 
+class TestLinearModel:
+    def test_weights_must_be_a_vector(self):
+        with pytest.raises(DimensionMismatchError, match="^weights must be a 1-d vector$"):
+            LinearModel(weights=np.ones((2, 2)))
+
+    @pytest.mark.parametrize("weights, bias", [([1.0, np.nan], 0.0), ([1.0, 2.0], np.inf)],
+                             ids=["weight", "bias"])
+    def test_parameters_must_be_finite(self, weights, bias):
+        with pytest.raises(ValueError, match="^model parameters must be finite$"):
+            LinearModel(weights=weights, bias=bias)
+
+
 class TestDecisionValues:
     def test_constant_model(self):
         model = LinearModel(weights=np.zeros(3), bias=0.5)
@@ -136,6 +165,10 @@ class TestAccuracy:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             accuracy(np.array([]), np.array([]))
+
+    def test_length_mismatch(self):
+        with pytest.raises(DimensionMismatchError, match="equal-length vectors"):
+            accuracy(np.array([0.5, -0.5]), np.array([1, -1, 1]))
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(2)
@@ -176,6 +209,10 @@ class TestAuc:
     def test_single_class_rejected(self):
         with pytest.raises(DegenerateLabelsError):
             auc(np.array([1.0, 2.0]), np.array([1, 1]))
+
+    def test_length_mismatch(self):
+        with pytest.raises(DimensionMismatchError, match="equal-length vectors"):
+            auc(np.array([0.5, -0.5]), np.array([1, -1, 1]))
 
     @settings(max_examples=200, deadline=None)
     @given(pairs=st.lists(st.tuples(st.integers(0, 4), st.sampled_from([1, -1])),

@@ -96,3 +96,14 @@ class TestPartialMatrix:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             PartialMatrix(np.ones((2, 2)), np.ones((2, 3), bool))
+
+    def test_values_must_be_a_matrix(self):
+        with pytest.raises(DimensionMismatchError, match=r"^expected a 2-d matrix, got shape \(3,\)$"):
+            PartialMatrix(np.ones(3), np.ones(3, bool))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_observe_rejects_a_non_finite_value(self, bad):
+        pm = PartialMatrix(np.zeros((2, 2)), np.zeros((2, 2), bool))
+        with pytest.raises(NumericError, match=r"^non-finite value for entry \(0, 1\)$"):
+            pm.observe(0, 1, bad)
+        assert not pm.mask[0, 1] and pm.values[0, 1] == 0.0

@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from activemc.errors import DegenerateLabelsError
 from activemc.synthetic import (
     labeled_lowrank,
     lowrank_matrix,
@@ -42,6 +43,11 @@ class TestLabeledLowrank:
             "b22b36bcfdffe2f72599bddc491c9f18bf01016e1b6adf9437977720a244de28"
         )
 
+    def test_one_class_every_draw_gives_up(self):
+        # a single row carries one label, however often it is redrawn
+        with pytest.raises(DegenerateLabelsError, match="^could not draw a two-class"):
+            labeled_lowrank(1, 3, 1, np.random.default_rng(0))
+
 
 class TestMarginLabeledLowrank:
     @pytest.mark.parametrize("spectrum", [[60.0, 40.0, 2.0], [5.0, 5.0, 1.0]])
@@ -55,6 +61,11 @@ class TestMarginLabeledLowrank:
         x, y, w = margin_labeled_lowrank(50, 9, 3, np.random.default_rng(2))
         np.testing.assert_array_equal(y, sign_labels(x, w))
         assert set(y.tolist()) == {-1, 1}
+
+    @pytest.mark.parametrize("rank", [0, 6])
+    def test_rank_out_of_range_rejected(self, rank):
+        with pytest.raises(ValueError, match=r"^rank must lie in \[1, min\(n, d\)\]$"):
+            margin_labeled_lowrank(20, 5, rank, np.random.default_rng(0))
 
     def test_spectrum_length_checked(self):
         with pytest.raises(ValueError):
