@@ -15,7 +15,7 @@ from collections import deque
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .matrix import _as_mask, _as_matrix
+from .matrix import _as_mask, _as_matrix, _check_finite
 
 
 class InformativenessTracker:
@@ -40,7 +40,7 @@ class InformativenessTracker:
         return len(self._kept)
 
     def record_snapshot(self, x_hat) -> "InformativenessTracker":
-        x = _as_matrix(x_hat).copy()
+        x = _check_finite(_as_matrix(x_hat)).copy()
         if self._kept and x.shape != self._kept[0].shape:
             raise DimensionMismatchError(
                 f"snapshot shape {x.shape} changed from {self._kept[0].shape}"

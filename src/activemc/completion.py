@@ -27,14 +27,14 @@ tolerance. The first round's tolerance is ``tol``; each later round's is
 relative objective change, the value the outer stop tests. So a block
 subproblem is solved no more finely than the alternation is moving
 (inexact block minimization: Xu & Yin 2013; Bolte, Sabach & Teboulle
-2014), and once rounds creep the tolerance is back at ``tol``. The first
-two steps from each warm start carry no momentum: each is a plain
-proximal step at ``1 / L``, which lowers the objective ``F`` by at least
-``(L / 2) * ||x+ - x||^2`` (Beck & Teboulle 2009). A relative change
-below a tolerance ``t`` there caps the gradient mapping,
-``||L * (x - x+)|| <= sqrt(2 * L * t * |F|)``, so either step may stop
-the loop. Momentum steps do not decrease ``F`` monotonically, and stop
-only after ``_MIN_INNER_STEPS``.
+2014), and once rounds creep the tolerance is back at ``tol``. The
+FISTA sequence ``theta`` starts at 1 from each warm start, so the first
+two steps carry no momentum: each is a plain proximal step at ``1 / L``,
+which lowers the objective ``F`` by at least ``(L / 2) * ||x+ - x||^2``
+(Beck & Teboulle 2009). A relative change below a tolerance ``t`` there
+caps the gradient mapping, ``||L * (x - x+)|| <= sqrt(2 * L * t * |F|)``,
+so either step may stop the loop. Momentum steps do not decrease ``F``
+monotonically, and stop only after ``_MIN_INNER_STEPS``.
 
 SVT works on the small side of the matrix: for an ``n x d`` matrix with
 ``n >= d`` (a wide one is transposed in and out) it takes the
@@ -60,7 +60,7 @@ scale, and none on the two momentum-free steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -77,8 +77,6 @@ _MIN_INNER_STEPS = 10
 # each round after the first solves its matrix block to within this fraction
 # of the previous round's relative objective change (never below cfg.tol)
 _KAPPA = 1e-3
-# momentum starts at theta = _THETA0
-_THETA0 = 1.0
 
 
 # field annotation text -> (accepted types, noun for the error); a bool
@@ -141,11 +139,20 @@ class CompletionConfig:
 
 @dataclass
 class CompletionResult:
+    """``fit``'s answer: the recovered matrix and its model.
+
+    ``objective_trace`` is the joint objective after each outer round and
+    never increases. ``inner_iterations`` counts every round's inner steps,
+    and ``converged`` is whether the last round's relative objective change
+    fell below ``tol``; ``complete``'s ``metrics.csv`` and the benchmark
+    read both.
+    """
+
     x_hat: np.ndarray
     model: LinearModel
-    objective_trace: list[float] = field(default_factory=list)
-    inner_iterations: int = 0
-    converged: bool = False
+    objective_trace: list[float]
+    inner_iterations: int
+    converged: bool
 
 
 def _check_shapes(x_hat: np.ndarray, obs: PartialMatrix, model, labels):
@@ -153,7 +160,7 @@ def _check_shapes(x_hat: np.ndarray, obs: PartialMatrix, model, labels):
         raise DimensionMismatchError(
             f"candidate shape {x_hat.shape} does not match observations {obs.shape}"
         )
-    if labels is not None and len(labels) != obs.shape[0]:
+    if len(labels) != obs.shape[0]:
         raise DimensionMismatchError("labels length does not match row count")
     if model is not None and model.weights.shape[0] != obs.shape[1]:
         raise DimensionMismatchError("model width does not match column count")
@@ -252,9 +259,10 @@ def _apg(obs, model, y, cfg, warm, tr_warm, tol):
     Every step is ``x_next = svt(G(z), lambda1 / L)`` at the momentum point
     ``z``, with ``G`` and ``L`` of the module docstring; ``G(z)`` comes from
     the carried steps of the last two iterates, so ``z`` is never formed.
-    Returns the best iterate seen (the momentum sequence itself is not
-    monotone; ``warm`` itself when no step improves on it), its trace norm
-    and its objective on the same terms, and the step count.
+    Returns ``(best_x, best_tr, best_f, start_f, steps)``: the best iterate
+    seen (the momentum sequence is not monotone; ``warm`` when no step
+    improves on it), its trace norm and objective, the objective of ``warm``
+    and the step count. Neither objective holds the ridge term.
     """
     lam1, lam2 = cfg.lambda1, cfg.lambda2
     l = _lipschitz(model, lam2)
@@ -278,9 +286,10 @@ def _apg(obs, model, y, cfg, warm, tr_warm, tol):
         np.subtract(x, out, out=out)
         return value
 
-    f_curr = gradient_step(warm, g_curr) + lam1 * tr_warm
+    f_curr = start_f = gradient_step(warm, g_curr) + lam1 * tr_warm
     best_x, best_f, best_tr = warm, f_curr, tr_warm
-    theta_curr = theta_prev = _THETA0
+    # at theta = 1, steps 0 and 1 carry no momentum: see _MIN_INNER_STEPS
+    theta_curr = theta_prev = 1.0
 
     for k in range(cfg.max_inner):
         beta = theta_curr * (1.0 / theta_prev - 1.0)
@@ -314,7 +323,7 @@ def _apg(obs, model, y, cfg, warm, tr_warm, tol):
         if rel < tol and (beta == 0.0 or k + 1 >= _MIN_INNER_STEPS):
             break
 
-    return best_x, best_tr, best_f, k + 1
+    return best_x, best_tr, best_f, start_f, k + 1
 
 
 def _ridge_term(model, cfg) -> float:
@@ -354,7 +363,6 @@ def fit(obs: PartialMatrix, labels, cfg: CompletionConfig | None = None,
     # the trace norm of x_hat is carried from here on: SVT returns it for
     # every candidate, and a model refit leaves x_hat unchanged
     tr_hat = trace_norm(x_hat) if cfg.lambda1 else 0.0
-    current = _solver_objective(x_hat, tr_hat, obs, model, y, cfg)
 
     trace: list[float] = []
     inner_total = 0
@@ -362,13 +370,12 @@ def fit(obs: PartialMatrix, labels, cfg: CompletionConfig | None = None,
     inner_tol = cfg.tol
 
     for _ in range(cfg.max_outer):
-        previous = current
-
-        # _apg's value leaves out the ridge term, constant while the model is fixed
-        # unguarded: _apg's best starts at x_hat, valued exactly as current is
-        x_hat, tr_hat, cand_f, iters = _apg(obs, model, y, cfg, x_hat, tr_hat, inner_tol)
+        # start_f is the last round's current, bit for bit: both value
+        # (x_hat, model, tr_hat) by _g_value on the same terms
+        x_hat, tr_hat, cand_f, start_f, iters = _apg(obs, model, y, cfg, x_hat, tr_hat, inner_tol)
         inner_total += iters
-        current = cand_f + _ridge_term(model, cfg)
+        ridge = _ridge_term(model, cfg)
+        previous, current = start_f + ridge, cand_f + ridge
 
         refit = train_ridge(x_hat, y, cfg.ridge)
         refit_obj = _solver_objective(x_hat, tr_hat, obs, refit, y, cfg)
@@ -382,10 +389,4 @@ def fit(obs: PartialMatrix, labels, cfg: CompletionConfig | None = None,
             break
         inner_tol = max(cfg.tol, _KAPPA * change)
 
-    return CompletionResult(
-        x_hat=x_hat,
-        model=model,
-        objective_trace=trace,
-        inner_iterations=inner_total,
-        converged=converged,
-    )
+    return CompletionResult(x_hat, model, trace, inner_total, converged)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateLabelsError, DimensionMismatchError, RankDeficiencyError
+from .errors import DegenerateLabelsError, DimensionMismatchError, NumericError, RankDeficiencyError
 from .matrix import _as_matrix
 
 
@@ -57,10 +57,14 @@ def train_ridge(x, labels, ridge: float = 0.0) -> LinearModel:
     # the Gram matrix and right-hand side of the system augmented with a
     # column of ones, built blockwise rather than from a stacked copy
     gram = np.empty((d + 1, d + 1))
-    gram[:d, :d] = a.T @ a
-    gram[:d, :d].flat[:: d + 1] += ridge
-    gram[d, :d] = gram[:d, d] = a.sum(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram[:d, :d] = a.T @ a
+        gram[:d, :d].flat[:: d + 1] += ridge
+        gram[d, :d] = gram[:d, d] = a.sum(axis=0)
     gram[d, d] = n
+    # caught before LAPACK sees it; finite, it bounds every |rhs| entry too
+    if not np.isfinite(gram).all():
+        raise NumericError(f"normal equations overflow: largest |feature| is {np.abs(a).max():.3g}")
     rhs = np.empty(d + 1)
     rhs[:d] = y @ a
     rhs[d] = y.sum()

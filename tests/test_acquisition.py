@@ -9,7 +9,7 @@ from activemc.acquisition import (
     select_cost_ratio,
     select_top_k,
 )
-from activemc.errors import DimensionMismatchError
+from activemc.errors import DimensionMismatchError, NumericError
 
 
 def snapshots(tracker, values):
@@ -72,6 +72,17 @@ class TestTracker:
         t.record_snapshot(np.ones((2, 2)))
         with pytest.raises(DimensionMismatchError):
             t.record_snapshot(np.ones((3, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_snapshot_is_named(self, bad):
+        # a nan snapshot would give a nan score, which select_top_k ranks last
+        t = InformativenessTracker()
+        t.record_snapshot(np.ones((2, 2)))
+        snapshot = np.ones((2, 2))
+        snapshot[1, 0] = bad
+        with pytest.raises(NumericError, match=r"^non-finite value for entry \(1, 0\)$"):
+            t.record_snapshot(snapshot)
+        assert t.retained == 1
 
     def test_no_snapshots_rejected(self):
         with pytest.raises(ValueError):

@@ -57,8 +57,8 @@ def solve(obs, model, y, cfg, warm):
     """One inner solve at ``cfg.tol``: (best x, objective without the ridge term, steps)."""
     warm = np.asarray(warm, dtype=float)
     tr_warm = trace_norm(warm) if cfg.lambda1 else 0.0
-    best_x, _, best_f, steps = completion._apg(obs, model, _as_labels(y), cfg, warm, tr_warm,
-                                               cfg.tol)
+    best_x, _, best_f, _, steps = completion._apg(obs, model, _as_labels(y), cfg, warm, tr_warm,
+                                                  cfg.tol)
     return best_x, best_f, steps
 
 
@@ -66,8 +66,6 @@ class TestConfig:
     def test_defaults_valid(self):
         cfg = CompletionConfig()
         assert cfg.lambda1 == 1.0 and cfg.lambda2 == 1.0
-        # momentum needs theta in (0, 1]
-        assert 0 < completion._THETA0 <= 1
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -588,6 +586,16 @@ class TestFit:
                 DivergenceError, match="^solver diverged: non-finite objective at inner step 0$"):
             fit(PartialMatrix(x, mask), np.array([1, -1]))
 
+    def test_overflowing_gram_is_named(self, capfd):
+        # finite data whose squares overflow fail at the first ridge fit,
+        # before LAPACK or the solver sees a non-finite Gram
+        x = 1e154 * np.random.default_rng(0).standard_normal((6, 4))
+        mask = np.ones(x.shape, dtype=bool)
+        mask[0, 0] = False
+        with pytest.raises(NumericError, match=r"^normal equations overflow: largest \|feature\|"):
+            fit(PartialMatrix(x, mask), np.array([1, -1, 1, -1, 1, -1]))
+        assert capfd.readouterr().err == ""
+
     def test_fully_observed_returns_data_and_direct_model(self):
         rng = np.random.default_rng(9)
         x = rng.standard_normal((10, 4))
@@ -736,6 +744,22 @@ class TestFit:
         assert result.inner_iterations > 0
         assert len(calls) == result.inner_iterations
 
+    def test_one_objective_evaluation_per_round(self, monkeypatch):
+        # each round's start value is the inner loop's, so the outer
+        # objective values only the refit
+        obs, y = self.supervised_instance(18, n=60, d=8)
+        calls = []
+        real = completion._solver_objective
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(completion, "_solver_objective", counted)
+        result = fit(obs, y)
+        assert len(result.objective_trace) > 1
+        assert len(calls) == len(result.objective_trace)
+
     def test_lambda1_zero_runs_no_decomposition(self, monkeypatch):
         obs, y = self.supervised_instance(16, n=60, d=8)
         calls = []
@@ -815,7 +839,7 @@ class TestInnerTolerance:
 
         def counted(*args, **kwargs):
             out = real(*args, **kwargs)
-            steps.append(out[3])
+            steps.append(out[4])
             return out
 
         monkeypatch.setattr(completion, "_apg", counted)

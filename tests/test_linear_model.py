@@ -3,7 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from activemc.errors import DegenerateLabelsError, DimensionMismatchError, RankDeficiencyError
+from activemc.errors import (
+    DegenerateLabelsError,
+    DimensionMismatchError,
+    NumericError,
+    RankDeficiencyError,
+)
 from activemc.linear_model import (
     LinearModel,
     _as_labels,
@@ -72,6 +77,16 @@ class TestTrainRidge:
     def test_inputs_checked(self, x, labels, ridge, error, message):
         with pytest.raises(error, match=f"^{message}$"):
             train_ridge(x, labels, ridge)
+
+    @pytest.mark.parametrize("ridge", [0.0, 1.0])
+    def test_gram_overflow_is_named(self, ridge, capfd):
+        # finite features whose squares overflow: the Gram is checked before
+        # LAPACK, which would print an illegal-parameter line to stderr
+        x = 1e154 * np.random.default_rng(0).standard_normal((6, 4))
+        with pytest.raises(NumericError,
+                           match=r"^normal equations overflow: largest \|feature\| is 2\.33e\+154$"):
+            train_ridge(x, np.array([1, -1, 1, -1, 1, -1]), ridge)
+        assert capfd.readouterr().err == ""
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), d=st.integers(1, 12),
            ridge=st.floats(0.1, 10.0))
