@@ -54,12 +54,34 @@ The inner step carries each iterate's gradient step ``G(x) = x - grad_g(x)
 is affine, so the momentum point ``z = (1 + beta) * x - beta * x_prev`` has
 ``G(z) = (1 + beta) * (G(x) - beta / (1 + beta) * G(x_prev))``: two passes
 over the carried steps, with the factor ``1 + beta`` handed to SVT as its
-scale, and none on the two momentum-free steps.
+scale, and none on the two momentum-free steps. Each new iterate is written
+into one of two buffers, the one that does not hold the best iterate; the
+warm start is never written.
+
+A matrix of at least ``_SPLIT_CELLS`` cells runs the inner step's
+row-separable passes on two fixed halves of its long side (the rows, or a
+wide matrix's columns): the momentum point's two passes with the half's
+partial Gram matrix, summed for SVT, then the rank-``k`` rebuild with the
+half's share of the next value. One worker thread, made at the first such
+step, runs the second half while the caller runs the first; the small
+eigendecomposition, the sums of the partial results and the best-iterate
+and stop logic stay with the caller, so a step synchronises twice. The
+split depends on the shape alone, never on the CPU count, and below the
+crossover the same code runs one block inline and starts no thread. The
+worker runs each half in a copy of the caller's context, which carries
+its ``np.errstate``, and a process forked after a fit makes its own worker,
+as the parent's thread does not exist in the child. Every value of the
+smooth part, the inner loop's and the outer objective's, is summed from
+the same blocks, so the two agree bit for bit. An iterate's ``G`` is
+completed at the start of the next step, once the label residual ``x @ w``
+is summed: each column half of a wide matrix holds only part of it.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -77,6 +99,18 @@ _MIN_INNER_STEPS = 10
 # each round after the first solves its matrix block to within this fraction
 # of the previous round's relative objective change (never below cfg.tol)
 _KAPPA = 1e-3
+# A matrix with at least this many cells runs the inner step's row-separable
+# passes as two halves of its long side, one on the worker thread; a smaller
+# one runs them as one block inline and starts no thread. In a sweep of
+# widths 20 to 200 on two cores with one BLAS thread each, two halves began
+# to win between 30,000 and 70,000 cells, by width, and won at every width
+# from here on.
+_SPLIT_CELLS = 70_000
+
+# (process id, executor) of the worker thread, made at the first two-block
+# call; a forked child finds its parent's id here and makes its own, since
+# the parent's thread did not come along
+_worker = None
 
 
 # field annotation text -> (accepted types, noun for the error); a bool
@@ -171,20 +205,98 @@ def _lipschitz(model, lambda2) -> float:
     return 1.0 + 2.0 * lambda2 * float(model.weights @ model.weights)
 
 
-def _g_value(x, obs, mask_l, l, model, offset, lambda2, out):
-    """Smooth value at ``x`` and the label residual ``x @ w + offset``.
+def _blocks(shape) -> tuple[slice, ...]:
+    """Row slices of the tall view of a ``shape`` matrix, from the shape alone."""
+    rows = max(shape)
+    if shape[0] * shape[1] < _SPLIT_CELLS:
+        return (slice(0, rows),)
+    half = (rows + 1) // 2
+    return slice(0, half), slice(half, rows)
 
-    ``mask_l`` is ``obs.mask / l``, so the masked data residual over ``l``
-    is left in ``out``. The inner step and the outer objective both take
-    the value from here, so two values of one ``x`` under one model round
-    alike wherever ``fit`` compares them. At lambda2 = 0 the label term
-    adds 0.0, which leaves the value as it is.
+
+def _each_block(fn, count: int) -> list:
+    """``[fn(i) for i in range(count)]``; block 1 runs on the worker thread.
+
+    ``fn`` runs there in a copy of the caller's context, which carries its
+    ``np.errstate``.
     """
-    # the mask zeroes the residual off the observed cells
-    np.subtract(x, obs.values, out=out)
-    out *= mask_l
-    res = x @ model.weights + offset
-    return 0.5 * l * l * float(np.vdot(out, out)) + lambda2 * float(res @ res), res
+    global _worker
+    if count == 1:
+        return [fn(0)]
+    worker = _worker
+    if worker is None or worker[0] != os.getpid():
+        # imported here, as only a large fit needs it: concurrent.futures
+        # loads logging, which costs every process about 6 ms and 1 MB
+        from concurrent.futures import ThreadPoolExecutor
+
+        # two threads racing here make one each; the spare's thread ends
+        # when it is dropped
+        worker = _worker = os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="activemc-apg")
+    future = worker[1].submit(contextvars.copy_context().run, fn, 1)
+    try:
+        first = fn(0)
+    except BaseException:
+        future.exception()  # waits: its block writes into the caller's arrays
+        raise
+    return [first, future.result()]
+
+
+class _Smooth:
+    """The smooth part of the objective under one fixed model, by blocks.
+
+    Matrices are handled through their tall view ``tall(a)`` (a wide one is
+    transposed), split into ``count`` row blocks of that view by ``split``.
+    Every value of the smooth part, the inner step's and the outer
+    objective's, comes from ``part`` and ``value`` on the same blocks, so
+    two values of one point under one model round alike wherever ``fit``
+    compares them.
+    """
+
+    def __init__(self, obs, model, y, lambda2):
+        self.wide = obs.shape[0] < obs.shape[1]
+        self.blocks = _blocks(obs.shape)
+        self.count = len(self.blocks)
+        self.l = _lipschitz(model, lambda2)
+        self.lambda2, self.offset = lambda2, model.bias - y
+        # a block of a wide matrix holds columns, so it meets only their weights
+        self.w = tuple(model.weights[s] for s in self.blocks) if self.wide else model.weights
+        self.values = self.split(self.tall(obs.values))
+        self.mask_l = self.split(self.tall(obs.mask / self.l))
+
+    def tall(self, a):
+        return a.T if self.wide else a
+
+    def split(self, t):
+        """The row blocks of a tall view ``t``; with one block, ``t`` itself."""
+        return (t,) if self.count == 1 else tuple(t[s] for s in self.blocks)
+
+    def part(self, i, x, out):
+        """Block ``i``, ``x`` of the point and ``out`` of scratch: leaves the
+        masked data residual over ``l`` in ``out`` and returns its squared
+        norm and the block's share of ``x @ w``."""
+        # the mask zeroes the residual off the observed cells
+        np.subtract(x, self.values[i], out=out)
+        out *= self.mask_l[i]
+        # a wide block's share is a partial sum, a tall block's a run of rows
+        share = self.w[i] @ x if self.wide else x @ self.w
+        return float(np.vdot(out, out)), share
+
+    def value_at(self, x, out):
+        """``value`` of the point whose blocks are ``x``, ``out`` scratch."""
+        return self.value(_each_block(lambda i: self.part(i, x[i], out[i]), self.count))
+
+    def value(self, parts):
+        """Smooth value from every block's ``part``, and the label residual
+        ``x @ w + offset``. At lambda2 = 0 the label term adds 0.0, which
+        leaves the value as it is."""
+        if self.count == 1:
+            (data, res), = parts
+        else:
+            (data, res), (data_1, res_1) = parts
+            data += data_1
+            res = res + res_1 if self.wide else np.concatenate((res, res_1))
+        res = res + self.offset
+        return 0.5 * self.l * self.l * data + self.lambda2 * float(res @ res), res
 
 
 def objective(x_hat, obs: PartialMatrix, model: LinearModel, labels, cfg: CompletionConfig) -> float:
@@ -214,26 +326,34 @@ def grad_g(z, obs: PartialMatrix, model: LinearModel, labels, lambda2: float) ->
     return grad
 
 
-def _svt_with_sigma(m: np.ndarray, tau: float,
-                    scale: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """SVT of ``scale * m`` and its shrunk singular values, largest first.
+def _svt_basis(gram: np.ndarray, tau: float,
+               scale: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What SVT of ``scale * a`` needs from the Gram matrix ``a.T @ a``.
 
-    Only the ``k`` singular values above ``tau`` survive, so the result is
-    ``m @ V_k @ diag(scale * (sigma_k - tau) / sigma_k) @ V_k.T`` with
-    ``V_k`` and ``sigma_k`` (the singular values of ``scale * m``) read off
-    the eigendecomposition of the small Gram matrix. ``scale`` is positive;
-    it touches only the spectrum and the ``k`` rebuilt columns, never a
-    full-size array.
+    Returns ``(v_k, coef, shrunk)``: the SVT is ``((a @ v_k) * coef) @
+    v_k.T``, with ``V_k`` and ``sigma_k`` (the singular values of ``scale *
+    a`` above ``tau``) read off the eigendecomposition of the Gram matrix
+    and ``coef = scale * (sigma_k - tau) / sigma_k``; ``shrunk`` holds every
+    singular value less ``tau``, floored at 0, largest first. ``scale`` is
+    positive; it touches only the spectrum and the ``k`` rebuilt columns,
+    never a full-size array.
     """
-    wide = m.shape[0] < m.shape[1]
-    a = m.T if wide else m  # the tall side
-    w, v = np.linalg.eigh(a.T @ a)  # ascending eigenvalues
+    w, v = np.linalg.eigh(gram)  # ascending eigenvalues
     sigma = scale * np.sqrt(np.maximum(w, 0.0))
     k = int(np.count_nonzero(sigma > tau))
     # the surviving values are the last k; k == 0 gives the zero matrix
     sigma_k, v_k = sigma[sigma.size - k:], v[:, v.shape[1] - k:]
-    out = ((a @ v_k) * (scale * (sigma_k - tau) / sigma_k)) @ v_k.T
-    return (out.T if wide else out), np.maximum(sigma[::-1] - tau, 0.0)
+    return v_k, scale * (sigma_k - tau) / sigma_k, np.maximum(sigma[::-1] - tau, 0.0)
+
+
+def _svt_with_sigma(m: np.ndarray, tau: float,
+                    scale: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """SVT of ``scale * m`` and its shrunk singular values, largest first."""
+    wide = m.shape[0] < m.shape[1]
+    a = m.T if wide else m  # the tall side
+    v_k, coef, shrunk = _svt_basis(a.T @ a, tau, scale)
+    out = ((a @ v_k) * coef) @ v_k.T
+    return (out.T if wide else out), shrunk
 
 
 def svt(m, tau: float) -> np.ndarray:
@@ -262,68 +382,96 @@ def _apg(obs, model, y, cfg, warm, tr_warm, tol):
     Returns ``(best_x, best_tr, best_f, start_f, steps)``: the best iterate
     seen (the momentum sequence is not monotone; ``warm`` when no step
     improves on it), its trace norm and objective, the objective of ``warm``
-    and the step count. Neither objective holds the ridge term.
+    and the step count. Neither objective holds the ridge term. ``warm`` is
+    never written.
     """
-    lam1, lam2 = cfg.lambda1, cfg.lambda2
-    l = _lipschitz(model, lam2)
-    mask_l, offset = obs.mask / l, model.bias - y
-    w_row = (2.0 * lam2 / l) * model.weights[None, :]
+    lam1 = cfg.lambda1
+    smooth = _Smooth(obs, model, y, cfg.lambda2)
+    l, count, split, tall = smooth.l, smooth.count, smooth.split, smooth.tall
+    w_row = (2.0 * cfg.lambda2 / l) * model.weights[None, :]
+    x_curr = split(tall(warm))
     # G of the current and the previous iterate; point is the momentum
-    # point's G over (1 + beta) and the residual scratch. All three are
-    # C-ordered whatever the layout of warm (SVT hands a wide matrix back
-    # transposed), as np.dot writes only into a C-ordered out.
-    g_curr, g_prev, point = np.empty(warm.shape), np.empty(warm.shape), np.empty(warm.shape)
+    # point's G over (1 + beta) and scratch; new iterates go to one of two
+    # buffers. All are C-ordered tall arrays held split into blocks, as
+    # np.dot and np.matmul write only into a C-ordered out; a wide iterate
+    # goes back transposed, as SVT hands a wide matrix back.
+    shape = tall(warm).shape
+    g_curr, g_prev, point = (split(np.empty(shape)) for _ in range(3))
+    buffers = [np.empty(shape) for _ in range(2)]
+    iterates = [split(b) for b in buffers]
 
-    def gradient_step(x, out):
-        """Write ``G(x)`` into ``out`` and return the smooth value at ``x``."""
-        # G(x) is x minus the masked data residual over L (left in point)
-        # minus outer(x @ w + offset, w_row), which is zero at lambda2 = 0
-        value, res = _g_value(x, obs, mask_l, l, model, offset, lam2, point)
-        # a BLAS rank-one product writes the outer product about twice as
-        # fast as np.multiply.outer
-        np.dot(res[:, None], w_row, out=out)
-        out += point
-        np.subtract(x, out, out=out)
-        return value
-
-    f_curr = start_f = gradient_step(warm, g_curr) + lam1 * tr_warm
-    best_x, best_f, best_tr = warm, f_curr, tr_warm
+    # g_curr holds the masked residual of the current iterate over L until
+    # the next step turns it into G, once the label residual res is known
+    f_curr, res = smooth.value_at(x_curr, g_curr)
+    f_curr = start_f = f_curr + lam1 * tr_warm
+    best, best_f, best_tr = None, f_curr, tr_warm  # best: the buffer index, None for warm
     # at theta = 1, steps 0 and 1 carry no momentum: see _MIN_INNER_STEPS
     theta_curr = theta_prev = 1.0
 
-    for k in range(cfg.max_inner):
-        beta = theta_curr * (1.0 / theta_prev - 1.0)
+    def momentum_point(i):
+        """Block ``i`` of ``G(x)``, of the momentum point's step and of its Gram matrix."""
+        # G(x) = x - (outer(res, w_row) + masked residual over L); a BLAS
+        # rank-one product writes the outer product about twice as fast
+        # as np.multiply.outer
+        np.dot(left[i], right, out=point[i])
+        np.add(point[i], g_curr[i], out=point[i])
+        np.subtract(x_curr[i], point[i], out=g_curr[i])
         if beta:
             # G(z) == (1 + beta) * (G(x) - beta / (1 + beta) * G(x_prev))
-            np.multiply(g_prev, beta / (1.0 + beta), out=point)
-            np.subtract(g_curr, point, out=point)
-            step = point
-        else:
-            step = g_curr
+            np.multiply(g_prev[i], beta / (1.0 + beta), out=point[i])
+            np.subtract(g_curr[i], point[i], out=point[i])
+        return step[i].T @ step[i] if lam1 else None
 
+    def proximal_step(i):
+        """Block ``i`` of the new iterate, and its ``part`` of the value."""
         if lam1:
-            x_next, sig = _svt_with_sigma(step, lam1 / l, 1.0 + beta)
-            tr_next = float(sig.sum())
+            # step @ V_k goes into g_prev's block, free until part() below:
+            # early steps keep about all columns, so it is nearly n x d
+            rows, kept = step[i].shape[0], v_k.shape[1]
+            scaled = g_prev[i].reshape(-1)[:rows * kept].reshape(rows, kept)
+            np.matmul(step[i], v_k, out=scaled)
+            scaled *= coef
+            np.matmul(scaled, v_k.T, out=x_next[i])
         else:  # the proximal map of a zero penalty is the identity
-            x_next, tr_next = step * (1.0 + beta), 0.0
-        f_next = gradient_step(x_next, g_prev) + lam1 * tr_next
+            np.multiply(step[i], 1.0 + beta, out=x_next[i])
+        return smooth.part(i, x_next[i], g_prev[i])
+
+    for k in range(cfg.max_inner):
+        beta = theta_curr * (1.0 / theta_prev - 1.0)
+        step = point if beta else g_curr
+        # outer(res, w_row) in the tall view, split like the matrix
+        if smooth.wide:
+            left, right = split(w_row.T), res[None, :]
+        else:
+            left, right = split(res[:, None]), w_row
+        grams = _each_block(momentum_point, count)
+        if lam1:
+            gram = grams[0] if count == 1 else grams[0] + grams[1]
+            v_k, coef, sig = _svt_basis(gram, lam1 / l, 1.0 + beta)
+            tr_next = float(sig.sum())
+        else:
+            tr_next = 0.0
+        # never the best iterate's buffer, nor warm
+        j = 1 if best == 0 else 0
+        x_next = iterates[j]
+        f_next, res = smooth.value(_each_block(proximal_step, count))
+        f_next += lam1 * tr_next
         if not math.isfinite(f_next):
             raise DivergenceError(f"solver diverged: non-finite objective at inner step {k}")
-        g_prev, g_curr = g_curr, g_prev
+        g_prev, g_curr, x_curr = g_curr, g_prev, x_next
 
         th = theta_curr
         theta_prev, theta_curr = th, 0.5 * (math.sqrt(th**4 + 4 * th**2) - th**2)
 
         if f_next < best_f:
-            best_f, best_x, best_tr = f_next, x_next, tr_next
-        del x_next  # only the best iterate outlives its step
+            best_f, best, best_tr = f_next, j, tr_next
         rel = abs(f_curr - f_next) / max(abs(f_curr), 1e-12)
         f_curr = f_next
         # beta == 0 on steps 0 and 1: see _MIN_INNER_STEPS
         if rel < tol and (beta == 0.0 or k + 1 >= _MIN_INNER_STEPS):
             break
 
-    return best_x, best_tr, best_f, start_f, k + 1
+    return (warm if best is None else tall(buffers[best])), best_tr, best_f, start_f, k + 1
 
 
 def _ridge_term(model, cfg) -> float:
@@ -337,9 +485,9 @@ def _solver_objective(x_hat, tr_hat, obs, model, y, cfg) -> float:
     the matching lambda2 * ridge * ||w||^2 term; without it the refit is
     not an exact block minimizer and the trace could tick upward.
     """
-    l = _lipschitz(model, cfg.lambda2)
-    g, _ = _g_value(x_hat, obs, obs.mask / l, l, model, model.bias - y, cfg.lambda2,
-                    np.empty(x_hat.shape))
+    smooth = _Smooth(obs, model, y, cfg.lambda2)
+    x = smooth.tall(x_hat)
+    g, _ = smooth.value_at(smooth.split(x), smooth.split(np.empty(x.shape)))
     return g + cfg.lambda1 * tr_hat + _ridge_term(model, cfg)
 
 
@@ -371,7 +519,7 @@ def fit(obs: PartialMatrix, labels, cfg: CompletionConfig | None = None,
 
     for _ in range(cfg.max_outer):
         # start_f is the last round's current, bit for bit: both value
-        # (x_hat, model, tr_hat) by _g_value on the same terms
+        # (x_hat, model, tr_hat) through _Smooth on the same blocks
         x_hat, tr_hat, cand_f, start_f, iters = _apg(obs, model, y, cfg, x_hat, tr_hat, inner_tol)
         inner_total += iters
         ridge = _ridge_term(model, cfg)

@@ -1,5 +1,11 @@
 import dataclasses
+import multiprocessing
+import os
+import sys
+import time
 import tracemalloc
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -43,11 +49,6 @@ def svt_reference(m, tau):
     return (u * shrunk) @ vh, shrunk
 
 
-def scaled_svt_reference(m, tau, scale=1.0):
-    """``_svt_with_sigma``'s contract, SVT of ``scale * m``, from a full SVD."""
-    return svt_reference(scale * m, tau)
-
-
 def assert_rel_close(actual, desired, rtol):
     scale = np.linalg.norm(desired)
     assert np.linalg.norm(np.asarray(actual) - desired) <= rtol * scale
@@ -60,6 +61,31 @@ def solve(obs, model, y, cfg, warm):
     best_x, _, best_f, _, steps = completion._apg(obs, model, _as_labels(y), cfg, warm, tr_warm,
                                                   cfg.tol)
     return best_x, best_f, steps
+
+
+def reference_apg(obs, model, y, cfg, warm, tr_warm, tol):
+    """``completion._apg`` from the textbook recursion: the momentum point
+    formed, the public ``grad_g``, a full-SVD SVT and every objective from
+    scratch, with the same stop rule and the same return values."""
+    lip = 1.0 + 2.0 * cfg.lambda2 * float(model.weights @ model.weights)
+    ridge = completion._ridge_term(model, cfg)
+    x_prev = x_curr = best_x = warm
+    f_curr = best_f = start_f = objective(warm, obs, model, y, cfg) - ridge
+    theta_prev = theta = 1.0
+    for k in range(cfg.max_inner):
+        beta = theta * (1.0 / theta_prev - 1.0)
+        z = x_curr + beta * (x_curr - x_prev)
+        step = z - grad_g(z, obs, model, y, cfg.lambda2) / lip
+        x_prev, x_curr = x_curr, svt_reference(step, cfg.lambda1 / lip)[0]
+        theta_prev, theta = theta, 0.5 * (np.sqrt(theta**4 + 4 * theta**2) - theta**2)
+        f_next = objective(x_curr, obs, model, y, cfg) - ridge
+        if f_next < best_f:
+            best_x, best_f = x_curr, f_next
+        rel = abs(f_curr - f_next) / max(abs(f_curr), 1e-12)
+        f_curr = f_next
+        if rel < tol and (beta == 0.0 or k + 1 >= completion._MIN_INNER_STEPS):
+            break
+    return best_x, trace_norm(best_x) if cfg.lambda1 else 0.0, best_f, start_f, k + 1
 
 
 class TestConfig:
@@ -359,17 +385,17 @@ class TestApgMinimize:
         x, obs, y, model = random_instance(rng, *shape)
         cfg = CompletionConfig(lambda1=lambda1, lambda2=lambda2, ridge=0.0, max_inner=8)
         warm = obs.values.copy()
-        seen = []  # (gradient point, threshold, SVT output) of every step
-        real = completion._svt_with_sigma
+        seen = []  # (Gram matrix of the gradient point, threshold, shrunk spectrum) of every step
+        real = completion._svt_basis
 
-        def recorded(m, tau, scale=1.0):
-            out = real(m, tau, scale)
-            seen.append((scale * m, tau, out[0].copy()))
+        def recorded(gram, tau, scale):
+            out = real(gram, tau, scale)
+            seen.append((scale**2 * gram, tau, out[2]))
             return out
 
         # the reference's svt must not run through the recorder
         with monkeypatch.context() as patch:
-            patch.setattr(completion, "_svt_with_sigma", recorded)
+            patch.setattr(completion, "_svt_basis", recorded)
             best_x, best_f, steps = solve(obs, model, y, cfg, warm)
         assert steps == cfg.max_inner
         assert len(seen) == (steps if lambda1 else 0)  # lambda1 = 0 runs no SVT
@@ -384,17 +410,19 @@ class TestApgMinimize:
             x_prev, x_curr = x_curr, svt(step, cfg.lambda1 / lip)
             theta_prev, theta = theta, 0.5 * (np.sqrt(theta**4 + 4 * theta**2) - theta**2)
             if lambda1:
-                point, tau, out = seen[k]
+                gram, tau, shrunk = seen[k]
+                tall = step.T if shape[0] < shape[1] else step
                 assert tau == cfg.lambda1 / lip
-                assert_rel_close(point, step, 1e-10)
-                assert_rel_close(out, x_curr, 1e-10)
+                assert_rel_close(gram, tall.T @ tall, 1e-10)
+                assert_rel_close(shrunk, svt_reference(step, tau)[1], 1e-10)
             iterates.append(x_curr)
             values.append(objective(x_curr, obs, model, y, cfg))
         # the best iterate is returned with its objective (ridge = 0 here)
         best = int(np.argmin(values))
         assert best_f == pytest.approx(values[best], rel=1e-10, abs=0)
-        if lambda1:
-            np.testing.assert_array_equal(best_x, warm if best == 0 else seen[best - 1][2])
+        if best == 0:
+            np.testing.assert_array_equal(best_x, warm)
+        assert_rel_close(best_x, iterates[best], 1e-10)
         # every shorter solve returns the best of its own prefix of the steps
         for limit in range(1, steps + 1):
             out_x, out_f, _ = solve(obs, model, y, dataclasses.replace(cfg, max_inner=limit), warm)
@@ -407,19 +435,21 @@ class TestApgMinimize:
         # one point under one model must give the same value in both
         # the threshold zeroes every step, so no step improves on the warm zeros
         cfg = CompletionConfig(lambda1=1e6, lambda2=1.0, max_inner=3)
-        for seed in range(10):
-            _, obs, y, model = random_instance(np.random.default_rng(seed), n=30, d=8)
-            warm = np.zeros(obs.shape)
-            best_x, best_f, _ = solve(obs, model, y, cfg, warm)
-            np.testing.assert_array_equal(best_x, warm)
-            outer = completion._solver_objective(warm, 0.0, obs, model, _as_labels(y), cfg)
-            assert best_f + completion._ridge_term(model, cfg) == outer, seed
+        # one block, then two
+        for n, d in [(30, 8), (800, 100)]:
+            for seed in range(10):
+                _, obs, y, model = random_instance(np.random.default_rng(seed), n=n, d=d)
+                warm = np.zeros(obs.shape)
+                best_x, best_f, _ = solve(obs, model, y, cfg, warm)
+                np.testing.assert_array_equal(best_x, warm)
+                outer = completion._solver_objective(warm, 0.0, obs, model, _as_labels(y), cfg)
+                assert best_f + completion._ridge_term(model, cfg) == outer, (n, d, seed)
 
     @pytest.mark.parametrize("lambda2", [1.0, 0.0])
     def test_traced_peak_is_a_few_matrices(self, lambda2):
-        # the mask over L, two carried gradient steps, the momentum point
-        # and residual scratch, the last and the best iterate, and SVT's
-        # output
+        # the mask over L, two carried gradient steps (one also holds SVT's
+        # n x k product), the momentum point and residual scratch, and two
+        # iterate buffers, the last and the best iterate
         rng = np.random.default_rng(10)
         x, y, _ = labeled_lowrank(2000, 100, 5, rng)
         obs, _ = masked_problem(x, init_mask(x.shape, 0.6, 10), True)
@@ -708,7 +738,7 @@ class TestFit:
         def fresh_objective(x_hat, tr_hat, obs, model, y, cfg):
             return solver_objective(x_hat, trace_norm(x_hat), obs, model, y, cfg)
 
-        monkeypatch.setattr(completion, "_svt_with_sigma", scaled_svt_reference)
+        monkeypatch.setattr(completion, "_apg", reference_apg)
         monkeypatch.setattr(completion, "_solver_objective", fresh_objective)
         ref = fit(obs, y, cfg)
         assert len(ref.objective_trace) == len(result.objective_trace)
@@ -724,7 +754,7 @@ class TestFit:
         assert len(result.objective_trace) >= 2
         assert not result.x_hat.flags.c_contiguous
 
-        monkeypatch.setattr(completion, "_svt_with_sigma", scaled_svt_reference)
+        monkeypatch.setattr(completion, "_apg", reference_apg)
         ref = fit(obs, y, cfg)
         np.testing.assert_allclose(result.objective_trace, ref.objective_trace, rtol=1e-9, atol=0)
         assert_rel_close(result.x_hat, ref.x_hat, 1e-9)
@@ -733,13 +763,13 @@ class TestFit:
         # the constant step is never retried, so no SVT goes to waste
         obs, y = self.supervised_instance(18, n=60, d=8)
         calls = []
-        real = completion._svt_with_sigma
+        real = completion._svt_basis
 
-        def counted(m, tau, scale=1.0):
-            calls.append(m.shape)
-            return real(m, tau, scale)
+        def counted(gram, tau, scale):
+            calls.append(gram.shape)
+            return real(gram, tau, scale)
 
-        monkeypatch.setattr(completion, "_svt_with_sigma", counted)
+        monkeypatch.setattr(completion, "_svt_basis", counted)
         result = fit(obs, y)
         assert result.inner_iterations > 0
         assert len(calls) == result.inner_iterations
@@ -791,7 +821,7 @@ class TestFit:
 
         # reference: a full-SVD SVT at a threshold too small to move any
         # singular value, with a penalty too small to change the objective
-        monkeypatch.setattr(completion, "_svt_with_sigma", scaled_svt_reference)
+        monkeypatch.setattr(completion, "_apg", reference_apg)
         ref = fit(obs, y, CompletionConfig(lambda1=1e-300))
         np.testing.assert_allclose(result.objective_trace, ref.objective_trace, rtol=1e-9, atol=0)
         assert_rel_close(result.x_hat, ref.x_hat, 1e-9)
@@ -857,3 +887,110 @@ class TestInnerTolerance:
         assert inexact.objective_trace[-1] == pytest.approx(exact.objective_trace[-1], rel=0.005)
         recon = reconstruction_errors(inexact.x_hat, x_true)[0]
         assert recon == pytest.approx(reconstruction_errors(exact.x_hat, x_true)[0], rel=0.05)
+
+
+class TestTwoBlocks:
+    """The inner step's row-separable passes on two halves of the long side."""
+
+    @staticmethod
+    def instance(n, d, seed=0):
+        rng = np.random.default_rng(seed)
+        x, y, _ = labeled_lowrank(n, d, 5, rng)
+        obs, _ = masked_problem(x, init_mask(x.shape, 0.6, seed), True)
+        return obs, y
+
+    @pytest.mark.parametrize("shape", [(800, 100), (100, 800)], ids=["tall", "wide"])
+    def test_two_blocks_agree_with_one(self, monkeypatch, shape):
+        obs, y = self.instance(*shape)
+        assert len(completion._blocks(shape)) == 2
+        two = fit(obs, y)
+        monkeypatch.setattr(completion, "_SPLIT_CELLS", obs.values.size + 1)
+        assert len(completion._blocks(shape)) == 1
+        one = fit(obs, y)
+        assert two.inner_iterations == one.inner_iterations
+        assert len(two.objective_trace) == len(one.objective_trace) > 1
+        np.testing.assert_allclose(two.objective_trace, one.objective_trace, rtol=1e-12, atol=0)
+        assert_rel_close(two.x_hat, one.x_hat, 1e-10)
+        # SVT hands a wide matrix back transposed, and each round after the
+        # first starts from it
+        assert two.x_hat.flags.c_contiguous == (shape[0] > shape[1])
+
+    def test_two_block_fits_are_bitwise_equal(self):
+        obs, y = self.instance(800, 100, seed=1)
+        first, second = fit(obs, y), fit(obs, y)
+        np.testing.assert_array_equal(first.x_hat, second.x_hat)
+        assert first.objective_trace == second.objective_trace
+
+    def test_worker_starts_only_at_the_split_size(self, monkeypatch):
+        monkeypatch.setattr(completion, "_worker", None)
+        cfg = CompletionConfig(max_outer=1, max_inner=5)
+        fit(*self.instance(100, 20), cfg)
+        assert completion._worker is None
+        fit(*self.instance(800, 100), cfg)
+        assert completion._worker[0] == os.getpid()
+
+    def test_overflowing_step_is_a_divergence(self, capfd):
+        # TestFit's case at the split size: both halves' Gram sums overflow,
+        # one on the worker thread, under the caller's np.errstate
+        x = 8e152 * np.random.default_rng(0).standard_normal((100, 800))
+        mask = np.ones(x.shape, dtype=bool)
+        mask[0, 0] = False
+        assert len(completion._blocks(x.shape)) == 2
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                DivergenceError, match="^solver diverged: non-finite objective at inner step 0$"):
+            fit(PartialMatrix(x, mask), np.where(np.arange(100) % 2, -1, 1))
+        assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize("failing", [0, 1], ids=["caller", "worker"])
+    def test_an_error_in_either_block_is_raised_once_both_end(self, failing):
+        # a block writes into the caller's arrays, so neither may outlive the call
+        ended = []
+
+        def block(i):
+            if i == 1:
+                time.sleep(0.1)  # the caller's block ends first
+            ended.append(i)
+            if i == failing:
+                raise ValueError(f"block {i}")
+
+        with pytest.raises(ValueError, match=f"^block {failing}$"):
+            completion._each_block(block, 2)
+        assert sorted(ended) == [0, 1]
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="no fork on this platform")
+    def test_forked_child_fits_after_the_parent(self):
+        # the parent's worker thread is not copied into a forked child
+        obs, y = self.instance(800, 100)
+        cfg = CompletionConfig(max_outer=1, max_inner=5)
+        fit(obs, y, cfg)
+        child = multiprocessing.get_context("fork").Process(target=fit, args=(obs, y, cfg))
+        with warnings.catch_warnings():
+            # Python 3.12 warns that forking a process with threads may deadlock
+            warnings.simplefilter("ignore", DeprecationWarning)
+            child.start()
+        child.join(timeout=60)
+        hung = child.is_alive()
+        if hung:
+            child.kill()
+            child.join()
+        assert not hung, "the forked child's fit did not finish within 60 s"
+        assert child.exitcode == 0
+
+    def test_concurrent_callers_share_the_worker(self):
+        # more calling threads than cores, switching often; each fit's
+        # halves write only their own arrays
+        obs, y = self.instance(800, 100)
+        cfg = CompletionConfig(max_outer=2, max_inner=20)
+        expected = fit(obs, y, cfg)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                futures = [pool.submit(fit, obs, y, cfg) for _ in range(4)]
+                results = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for result in results:
+            np.testing.assert_array_equal(result.x_hat, expected.x_hat)
+            assert result.objective_trace == expected.objective_trace
