@@ -87,6 +87,7 @@ def _cmd_complete(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     mask = init_mask(features.shape, plan.observed_rate, plan.seed)
     obs, x_true = masked_problem(features, mask, plan.standardize)
+    del features  # standardized, obs and x_true hold copies: not kept through the fit
     result = fit(obs, labels, plan)
     scores = score_fit(result, x_true, x_true, labels)
 

@@ -54,9 +54,12 @@ The inner step carries each iterate's gradient step ``G(x) = x - grad_g(x)
 is affine, so the momentum point ``z = (1 + beta) * x - beta * x_prev`` has
 ``G(z) = (1 + beta) * (G(x) - beta / (1 + beta) * G(x_prev))``: two passes
 over the carried steps, with the factor ``1 + beta`` handed to SVT as its
-scale, and none on the two momentum-free steps. Each new iterate is written
-into one of two buffers, the one that does not hold the best iterate; the
-warm start is never written.
+scale, and none on the two momentum-free steps. ``fit`` builds the solver's
+state once for all rounds: the row blocks, the split values and mask, the
+mask over ``L`` (rewritten in place when the model changes), the carried
+steps, the momentum point's scratch and two iterate buffers. The start is
+copied into one buffer, so the current matrix is always one of the two;
+a new iterate goes into the one not holding the best iterate.
 
 A matrix of at least ``_SPLIT_CELLS`` cells runs the inner step's
 row-separable passes on two fixed halves of its long side (the rows, or a
@@ -68,18 +71,18 @@ eigendecomposition, the sums of the partial results and the best-iterate
 and stop logic stay with the caller, so a step synchronises twice. The
 split depends on the shape alone, never on the CPU count, and below the
 crossover the same code runs one block inline and starts no thread. The
-worker runs each half in a copy of the caller's context, which carries
-its ``np.errstate``, and a process forked after a fit makes its own worker,
-as the parent's thread does not exist in the child. Every value of the
-smooth part, the inner loop's and the outer objective's, is summed from
-the same blocks, so the two agree bit for bit. An iterate's ``G`` is
-completed at the start of the next step, once the label residual ``x @ w``
-is summed: each column half of a wide matrix holds only part of it.
+worker sets the caller's ``np.errstate``, read with ``np.geterr()``, around
+its half, as neither numpy 2's context variable nor numpy 1's per-thread
+state crosses to another thread. A process forked after a fit makes its
+own worker, as the parent's thread does not exist in the child. Every
+value of the smooth part, the inner loop's and the outer objective's, is
+summed from the same blocks, so the two agree bit for bit. An iterate's
+``G`` is completed at the start of the next step, once the label residual
+``x @ w`` is summed: a column half of a wide matrix holds only part of it.
 """
 
 from __future__ import annotations
 
-import contextvars
 import math
 import os
 from dataclasses import dataclass, fields
@@ -200,11 +203,6 @@ def _check_shapes(x_hat: np.ndarray, obs: PartialMatrix, model, labels):
         raise DimensionMismatchError("model width does not match column count")
 
 
-def _lipschitz(model, lambda2) -> float:
-    """``L`` of the module docstring for the model ``model``."""
-    return 1.0 + 2.0 * lambda2 * float(model.weights @ model.weights)
-
-
 def _blocks(shape) -> tuple[slice, ...]:
     """Row slices of the tall view of a ``shape`` matrix, from the shape alone."""
     rows = max(shape)
@@ -215,11 +213,7 @@ def _blocks(shape) -> tuple[slice, ...]:
 
 
 def _each_block(fn, count: int) -> list:
-    """``[fn(i) for i in range(count)]``; block 1 runs on the worker thread.
-
-    ``fn`` runs there in a copy of the caller's context, which carries its
-    ``np.errstate``.
-    """
+    """``[fn(i) for i in range(count)]``; block 1 runs on the worker thread."""
     global _worker
     if count == 1:
         return [fn(0)]
@@ -232,7 +226,7 @@ def _each_block(fn, count: int) -> list:
         # two threads racing here make one each; the spare's thread ends
         # when it is dropped
         worker = _worker = os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="activemc-apg")
-    future = worker[1].submit(contextvars.copy_context().run, fn, 1)
+    future = worker[1].submit(np.errstate(**np.geterr())(fn), 1)
     try:
         first = fn(0)
     except BaseException:
@@ -241,27 +235,28 @@ def _each_block(fn, count: int) -> list:
     return [first, future.result()]
 
 
-class _Smooth:
-    """The smooth part of the objective under one fixed model, by blocks.
+class _State:
+    """The solver state of the module docstring, built once per ``fit``.
 
-    Matrices are handled through their tall view ``tall(a)`` (a wide one is
-    transposed), split into ``count`` row blocks of that view by ``split``.
-    Every value of the smooth part, the inner step's and the outer
-    objective's, comes from ``part`` and ``value`` on the same blocks, so
-    two values of one point under one model round alike wherever ``fit``
-    compares them.
+    Its arrays are C-ordered tall views, held split into ``count`` row
+    blocks: np.dot and np.matmul write only into a C-ordered out, and a wide
+    matrix goes back transposed, as SVT hands a wide matrix back.
+    ``current`` indexes the buffer that holds the current matrix.
     """
 
-    def __init__(self, obs, model, y, lambda2):
+    def __init__(self, obs, y, lambda2, start):
         self.wide = obs.shape[0] < obs.shape[1]
         self.blocks = _blocks(obs.shape)
         self.count = len(self.blocks)
-        self.l = _lipschitz(model, lambda2)
-        self.lambda2, self.offset = lambda2, model.bias - y
-        # a block of a wide matrix holds columns, so it meets only their weights
-        self.w = tuple(model.weights[s] for s in self.blocks) if self.wide else model.weights
+        self.y, self.lambda2, self.model, self.current = y, lambda2, None, 0
+        self.mask = self.tall(obs.mask)
         self.values = self.split(self.tall(obs.values))
-        self.mask_l = self.split(self.tall(obs.mask / self.l))
+        shape = self.mask.shape
+        self.scaled_mask = np.empty(shape)
+        self.mask_l = self.split(self.scaled_mask)
+        self.work = tuple(self.split(np.empty(shape)) for _ in range(3))
+        self.buffers = self.tall(start).copy(order="C"), np.empty(shape)
+        self.iterates = tuple(self.split(b) for b in self.buffers)
 
     def tall(self, a):
         return a.T if self.wide else a
@@ -269,6 +264,9 @@ class _Smooth:
     def split(self, t):
         """The row blocks of a tall view ``t``; with one block, ``t`` itself."""
         return (t,) if self.count == 1 else tuple(t[s] for s in self.blocks)
+
+    def x_hat(self):
+        return self.tall(self.buffers[self.current])
 
     def part(self, i, x, out):
         """Block ``i``, ``x`` of the point and ``out`` of scratch: leaves the
@@ -281,8 +279,17 @@ class _Smooth:
         share = self.w[i] @ x if self.wide else x @ self.w
         return float(np.vdot(out, out)), share
 
-    def value_at(self, x, out):
-        """``value`` of the point whose blocks are ``x``, ``out`` scratch."""
+    def value_now(self, model, out):
+        """``value`` of the current matrix under ``model``, ``out`` scratch;
+        ``model`` stays set: ``L``, the weights, the offset, the mask over ``L``."""
+        if model is not self.model:
+            w = model.weights
+            self.model, self.offset = model, model.bias - self.y
+            self.l = 1.0 + 2.0 * self.lambda2 * float(w @ w)  # L of the module docstring
+            # a block of a wide matrix holds columns, so it meets only their weights
+            self.w = tuple(w[s] for s in self.blocks) if self.wide else w
+            np.divide(self.mask, self.l, out=self.scaled_mask)
+        x = self.iterates[self.current]
         return self.value(_each_block(lambda i: self.part(i, x[i], out[i]), self.count))
 
     def value(self, parts):
@@ -305,7 +312,7 @@ def objective(x_hat, obs: PartialMatrix, model: LinearModel, labels, cfg: Comple
     y = _as_labels(labels)
     _check_shapes(x, obs, model, y)
     tr = trace_norm(x) if cfg.lambda1 else 0.0
-    return _solver_objective(x, tr, obs, model, y, cfg)
+    return _solver_objective(_State(obs, y, cfg.lambda2, x), tr, model, cfg)
 
 
 def grad_g(z, obs: PartialMatrix, model: LinearModel, labels, lambda2: float) -> np.ndarray:
@@ -346,12 +353,11 @@ def _svt_basis(gram: np.ndarray, tau: float,
     return v_k, scale * (sigma_k - tau) / sigma_k, np.maximum(sigma[::-1] - tau, 0.0)
 
 
-def _svt_with_sigma(m: np.ndarray, tau: float,
-                    scale: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """SVT of ``scale * m`` and its shrunk singular values, largest first."""
+def _svt_with_sigma(m: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """SVT of ``m`` and its shrunk singular values, largest first."""
     wide = m.shape[0] < m.shape[1]
     a = m.T if wide else m  # the tall side
-    v_k, coef, shrunk = _svt_basis(a.T @ a, tau, scale)
+    v_k, coef, shrunk = _svt_basis(a.T @ a, tau, 1.0)
     out = ((a @ v_k) * coef) @ v_k.T
     return (out.T if wide else out), shrunk
 
@@ -370,41 +376,34 @@ def svt(m, tau: float) -> np.ndarray:
     return out
 
 
-def _apg(obs, model, y, cfg, warm, tr_warm, tol):
+def _apg(state, model, cfg, tr_warm, tol):
     """Accelerated proximal gradient on the matrix block, model fixed.
 
-    ``tr_warm`` is the trace norm of ``warm`` (0.0 when lambda1 is 0,
-    where no trace norm is computed).
+    Starts from the state's current matrix ``warm``, whose trace norm is
+    ``tr_warm`` (0.0 when lambda1 is 0, where none is computed).
     ``tol`` is the relative objective change that stops the loop.
     Every step is ``x_next = svt(G(z), lambda1 / L)`` at the momentum point
     ``z``, with ``G`` and ``L`` of the module docstring; ``G(z)`` comes from
     the carried steps of the last two iterates, so ``z`` is never formed.
     Returns ``(best_x, best_tr, best_f, start_f, steps)``: the best iterate
     seen (the momentum sequence is not monotone; ``warm`` when no step
-    improves on it), its trace norm and objective, the objective of ``warm``
-    and the step count. Neither objective holds the ridge term. ``warm`` is
-    never written.
+    improves on it), which becomes the state's current matrix, its trace
+    norm and objective, the objective of ``warm`` and the step count.
+    Neither objective holds the ridge term.
     """
     lam1 = cfg.lambda1
-    smooth = _Smooth(obs, model, y, cfg.lambda2)
-    l, count, split, tall = smooth.l, smooth.count, smooth.split, smooth.tall
-    w_row = (2.0 * cfg.lambda2 / l) * model.weights[None, :]
-    x_curr = split(tall(warm))
     # G of the current and the previous iterate; point is the momentum
-    # point's G over (1 + beta) and scratch; new iterates go to one of two
-    # buffers. All are C-ordered tall arrays held split into blocks, as
-    # np.dot and np.matmul write only into a C-ordered out; a wide iterate
-    # goes back transposed, as SVT hands a wide matrix back.
-    shape = tall(warm).shape
-    g_curr, g_prev, point = (split(np.empty(shape)) for _ in range(3))
-    buffers = [np.empty(shape) for _ in range(2)]
-    iterates = [split(b) for b in buffers]
+    # point's G over (1 + beta) and scratch
+    g_curr, g_prev, point = state.work
+    best, x_curr = state.current, state.iterates[state.current]
 
     # g_curr holds the masked residual of the current iterate over L until
     # the next step turns it into G, once the label residual res is known
-    f_curr, res = smooth.value_at(x_curr, g_curr)
+    f_curr, res = state.value_now(model, g_curr)
+    l, count, split = state.l, state.count, state.split
+    w_row = (2.0 * cfg.lambda2 / l) * model.weights[None, :]
     f_curr = start_f = f_curr + lam1 * tr_warm
-    best, best_f, best_tr = None, f_curr, tr_warm  # best: the buffer index, None for warm
+    best_f, best_tr = f_curr, tr_warm
     # at theta = 1, steps 0 and 1 carry no momentum: see _MIN_INNER_STEPS
     theta_curr = theta_prev = 1.0
 
@@ -434,13 +433,13 @@ def _apg(obs, model, y, cfg, warm, tr_warm, tol):
             np.matmul(scaled, v_k.T, out=x_next[i])
         else:  # the proximal map of a zero penalty is the identity
             np.multiply(step[i], 1.0 + beta, out=x_next[i])
-        return smooth.part(i, x_next[i], g_prev[i])
+        return state.part(i, x_next[i], g_prev[i])
 
     for k in range(cfg.max_inner):
         beta = theta_curr * (1.0 / theta_prev - 1.0)
         step = point if beta else g_curr
         # outer(res, w_row) in the tall view, split like the matrix
-        if smooth.wide:
+        if state.wide:
             left, right = split(w_row.T), res[None, :]
         else:
             left, right = split(res[:, None]), w_row
@@ -451,10 +450,10 @@ def _apg(obs, model, y, cfg, warm, tr_warm, tol):
             tr_next = float(sig.sum())
         else:
             tr_next = 0.0
-        # never the best iterate's buffer, nor warm
-        j = 1 if best == 0 else 0
-        x_next = iterates[j]
-        f_next, res = smooth.value(_each_block(proximal_step, count))
+        # never the best iterate's buffer
+        j = 1 - best
+        x_next = state.iterates[j]
+        f_next, res = state.value(_each_block(proximal_step, count))
         f_next += lam1 * tr_next
         if not math.isfinite(f_next):
             raise DivergenceError(f"solver diverged: non-finite objective at inner step {k}")
@@ -471,23 +470,22 @@ def _apg(obs, model, y, cfg, warm, tr_warm, tol):
         if rel < tol and (beta == 0.0 or k + 1 >= _MIN_INNER_STEPS):
             break
 
-    return (warm if best is None else tall(buffers[best])), best_tr, best_f, start_f, k + 1
+    state.current = best
+    return state.x_hat(), best_tr, best_f, start_f, k + 1
 
 
 def _ridge_term(model, cfg) -> float:
     return cfg.lambda2 * cfg.ridge * float(model.weights @ model.weights)
 
 
-def _solver_objective(x_hat, tr_hat, obs, model, y, cfg) -> float:
-    """What the alternation actually minimizes, given ``tr_hat = ||x_hat||_tr``.
+def _solver_objective(state, tr_hat, model, cfg) -> float:
+    """The joint objective at the state's matrix, of trace norm ``tr_hat``, and ``model``.
 
     The model refit solves a ridge problem, so the joint objective carries
     the matching lambda2 * ridge * ||w||^2 term; without it the refit is
     not an exact block minimizer and the trace could tick upward.
     """
-    smooth = _Smooth(obs, model, y, cfg.lambda2)
-    x = smooth.tall(x_hat)
-    g, _ = smooth.value_at(smooth.split(x), smooth.split(np.empty(x.shape)))
+    g, _ = state.value_now(model, state.work[0])
     return g + cfg.lambda1 * tr_hat + _ridge_term(model, cfg)
 
 
@@ -504,13 +502,13 @@ def fit(obs: PartialMatrix, labels, cfg: CompletionConfig | None = None,
     if cfg is None:
         cfg = CompletionConfig()
     y = _as_labels(labels)
-    x_hat = (obs.values if warm_start is None else _check_finite(_as_matrix(warm_start))).copy()
-    _check_shapes(x_hat, obs, None, y)
-
-    model = train_ridge(x_hat, y, cfg.ridge)
-    # the trace norm of x_hat is carried from here on: SVT returns it for
-    # every candidate, and a model refit leaves x_hat unchanged
-    tr_hat = trace_norm(x_hat) if cfg.lambda1 else 0.0
+    start = obs.values if warm_start is None else _check_finite(_as_matrix(warm_start))
+    _check_shapes(start, obs, None, y)
+    # x_hat's trace norm, carried from here on (SVT gives each candidate's; a
+    # refit keeps x_hat), taken before the state: SVD's copy is not held beside it
+    tr_hat = trace_norm(start) if cfg.lambda1 else 0.0
+    state = _State(obs, y, cfg.lambda2, start)  # for every round: see the module docstring
+    model = train_ridge(state.x_hat(), y, cfg.ridge)
 
     trace: list[float] = []
     inner_total = 0
@@ -519,14 +517,14 @@ def fit(obs: PartialMatrix, labels, cfg: CompletionConfig | None = None,
 
     for _ in range(cfg.max_outer):
         # start_f is the last round's current, bit for bit: both value
-        # (x_hat, model, tr_hat) through _Smooth on the same blocks
-        x_hat, tr_hat, cand_f, start_f, iters = _apg(obs, model, y, cfg, x_hat, tr_hat, inner_tol)
+        # (x_hat, model, tr_hat) on the state's blocks
+        x_hat, tr_hat, cand_f, start_f, iters = _apg(state, model, cfg, tr_hat, inner_tol)
         inner_total += iters
         ridge = _ridge_term(model, cfg)
         previous, current = start_f + ridge, cand_f + ridge
 
         refit = train_ridge(x_hat, y, cfg.ridge)
-        refit_obj = _solver_objective(x_hat, tr_hat, obs, refit, y, cfg)
+        refit_obj = _solver_objective(state, tr_hat, refit, cfg)
         if refit_obj <= current:
             model, current = refit, refit_obj
 

@@ -1,9 +1,13 @@
 import json
+import tracemalloc
+# loaded by the first two-block fit; imported here so its ~1 MB of module
+# state is not traced as part of a command
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 
 import numpy as np
 import pytest
 
-from activemc import cli, harness
+from activemc import cli, completion, harness
 from activemc.cli import cli_main
 from activemc.completion import CompletionConfig, fit
 from activemc.data_io import load_dataset, load_matrix, write_dataset, write_matrix
@@ -60,6 +64,23 @@ class TestComplete:
         row = ",".join(f"{v:.10e}" for v in values)
         row += f",{int(result.converged)},{len(result.objective_trace)}"
         assert (out / "metrics.csv").read_text().splitlines()[1] == row
+
+    def test_traced_peak_of_a_two_block_fit(self, tmp_path):
+        # the standardized truth, the observations and the fit's six working
+        # matrices come to about 9x the matrix; the loaded features kept
+        # through the fit, or a seventh working matrix, pass 10x
+        x, y, _ = labeled_lowrank(1000, 80, 5, np.random.default_rng(0))
+        assert x.size >= completion._SPLIT_CELLS
+        path = tmp_path / "large.csv"
+        write_dataset(path, x, y)
+        tracemalloc.start()
+        try:
+            assert cli_main(["complete", "--data", str(path), "--label-col", "last",
+                             "--positive-label", "1", "--seed", "7", "--out", str(tmp_path / "o")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * x.nbytes, f"peak {peak / x.nbytes:.2f}x the matrix"
 
     def test_unset_flags_take_plan_defaults(self, tmp_path, dataset):
         # positive_label (None), has_header (False) and standardize (True)

@@ -58,8 +58,8 @@ def solve(obs, model, y, cfg, warm):
     """One inner solve at ``cfg.tol``: (best x, objective without the ridge term, steps)."""
     warm = np.asarray(warm, dtype=float)
     tr_warm = trace_norm(warm) if cfg.lambda1 else 0.0
-    best_x, _, best_f, _, steps = completion._apg(obs, model, _as_labels(y), cfg, warm, tr_warm,
-                                                  cfg.tol)
+    state = completion._State(obs, _as_labels(y), cfg.lambda2, warm)
+    best_x, _, best_f, _, steps = completion._apg(state, model, cfg, tr_warm, cfg.tol)
     return best_x, best_f, steps
 
 
@@ -86,6 +86,19 @@ def reference_apg(obs, model, y, cfg, warm, tr_warm, tol):
         if rel < tol and (beta == 0.0 or k + 1 >= completion._MIN_INNER_STEPS):
             break
     return best_x, trace_norm(best_x) if cfg.lambda1 else 0.0, best_f, start_f, k + 1
+
+
+def use_reference_apg(monkeypatch, obs):
+    """Make ``fit`` solve each round's matrix block on ``obs`` with
+    ``reference_apg``, whose answer goes into the state's other buffer and
+    becomes its current matrix, as ``completion._apg`` leaves it."""
+    def apg(state, model, cfg, tr_warm, tol):
+        best_x, *rest = reference_apg(obs, model, state.y, cfg, state.x_hat(), tr_warm, tol)
+        state.current = 1 - state.current
+        np.copyto(state.x_hat(), best_x)
+        return (state.x_hat(), *rest)
+
+    monkeypatch.setattr(completion, "_apg", apg)
 
 
 class TestConfig:
@@ -299,7 +312,11 @@ class TestSvtProperties:
         tau = frac * np.linalg.svd(b, compute_uv=False).max(initial=0.0)
         size = np.linalg.norm(b)
         ref, ref_shrunk = svt_reference(b, tau)
-        out, shrunk = _svt_with_sigma(a, tau, scale)
+        # the seam the inner step uses: SVT of scale * a from the Gram matrix of a
+        tall = a.T if wide else a
+        v_k, coef, shrunk = completion._svt_basis(tall.T @ tall, tau, scale)
+        out = ((tall @ v_k) * coef) @ v_k.T
+        out = out.T if wide else out
         assert out.shape == a.shape
         assert np.linalg.norm(out - ref) <= 1e-9 * size
         np.testing.assert_allclose(shrunk, ref_shrunk, rtol=0, atol=1e-9 * size)
@@ -440,9 +457,11 @@ class TestApgMinimize:
             for seed in range(10):
                 _, obs, y, model = random_instance(np.random.default_rng(seed), n=n, d=d)
                 warm = np.zeros(obs.shape)
-                best_x, best_f, _ = solve(obs, model, y, cfg, warm)
+                state = completion._State(obs, _as_labels(y), cfg.lambda2, warm)
+                best_x, _, best_f, _, _ = completion._apg(state, model, cfg, 0.0, cfg.tol)
                 np.testing.assert_array_equal(best_x, warm)
-                outer = completion._solver_objective(warm, 0.0, obs, model, _as_labels(y), cfg)
+                # the refit's value, on the state the inner loop left
+                outer = completion._solver_objective(state, 0.0, model, cfg)
                 assert best_f + completion._ridge_term(model, cfg) == outer, (n, d, seed)
 
     @pytest.mark.parametrize("lambda2", [1.0, 0.0])
@@ -455,11 +474,12 @@ class TestApgMinimize:
         obs, _ = masked_problem(x, init_mask(x.shape, 0.6, 10), True)
         cfg = CompletionConfig(lambda2=lambda2, max_inner=20)
         model = train_ridge(obs.values, y, cfg.ridge)
-        warm = obs.values.copy()
-        tr_warm = trace_norm(warm)
+        tr_warm = trace_norm(obs.values)
         tracemalloc.start()
         try:
-            *_, steps = completion._apg(obs, model, _as_labels(y), cfg, warm, tr_warm, 0.0)
+            # the state copies the start into one of its buffers
+            state = completion._State(obs, _as_labels(y), cfg.lambda2, obs.values)
+            *_, steps = completion._apg(state, model, cfg, tr_warm, 0.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -735,10 +755,10 @@ class TestFit:
         # objective from scratch instead of carrying trace norms
         solver_objective = completion._solver_objective
 
-        def fresh_objective(x_hat, tr_hat, obs, model, y, cfg):
-            return solver_objective(x_hat, trace_norm(x_hat), obs, model, y, cfg)
+        def fresh_objective(state, tr_hat, model, cfg):
+            return solver_objective(state, trace_norm(state.x_hat()), model, cfg)
 
-        monkeypatch.setattr(completion, "_apg", reference_apg)
+        use_reference_apg(monkeypatch, obs)
         monkeypatch.setattr(completion, "_solver_objective", fresh_objective)
         ref = fit(obs, y, cfg)
         assert len(ref.objective_trace) == len(result.objective_trace)
@@ -754,7 +774,7 @@ class TestFit:
         assert len(result.objective_trace) >= 2
         assert not result.x_hat.flags.c_contiguous
 
-        monkeypatch.setattr(completion, "_apg", reference_apg)
+        use_reference_apg(monkeypatch, obs)
         ref = fit(obs, y, cfg)
         np.testing.assert_allclose(result.objective_trace, ref.objective_trace, rtol=1e-9, atol=0)
         assert_rel_close(result.x_hat, ref.x_hat, 1e-9)
@@ -790,6 +810,47 @@ class TestFit:
         assert len(result.objective_trace) > 1
         assert len(calls) == len(result.objective_trace)
 
+    @pytest.mark.parametrize("shape", [(60, 8), (8, 60), (800, 100)], ids=["tall", "wide", "two-block"])
+    def test_every_round_reuses_two_buffers(self, monkeypatch, shape):
+        # fit keeps one state for all rounds: the matrix every ridge fit
+        # sees is a view of one of its two iterate buffers
+        obs, y = self.supervised_instance(19, *shape)
+        seen = []  # held, so no array's address is reused
+        real = completion.train_ridge
+
+        def recorded(x, labels, ridge):
+            seen.append(x)
+            return real(x, labels, ridge)
+
+        monkeypatch.setattr(completion, "train_ridge", recorded)
+        result = fit(obs, y)
+        assert len(result.objective_trace) >= 4
+        bases = set()
+        for x in seen + [result.x_hat]:
+            while x.base is not None:
+                x = x.base
+            bases.add(id(x))
+        assert len(bases) <= 2
+
+    def test_start_trace_norm_comes_before_the_state(self, monkeypatch):
+        # the SVD copies its matrix where tracemalloc does not see it; taken
+        # before the state's six matrices exist, that copy is not held beside them
+        obs, y = self.supervised_instance(19, 400, 50)
+        in_use = []
+        real = completion.trace_norm
+
+        def recorded(m):
+            in_use.append(tracemalloc.get_traced_memory()[0])
+            return real(m)
+
+        monkeypatch.setattr(completion, "trace_norm", recorded)
+        tracemalloc.start()
+        try:
+            fit(obs, y, CompletionConfig(max_outer=1, max_inner=2))
+        finally:
+            tracemalloc.stop()
+        assert len(in_use) == 1 and in_use[0] < 0.5 * obs.values.nbytes
+
     def test_lambda1_zero_runs_no_decomposition(self, monkeypatch):
         obs, y = self.supervised_instance(16, n=60, d=8)
         calls = []
@@ -821,7 +882,7 @@ class TestFit:
 
         # reference: a full-SVD SVT at a threshold too small to move any
         # singular value, with a penalty too small to change the objective
-        monkeypatch.setattr(completion, "_apg", reference_apg)
+        use_reference_apg(monkeypatch, obs)
         ref = fit(obs, y, CompletionConfig(lambda1=1e-300))
         np.testing.assert_allclose(result.objective_trace, ref.objective_trace, rtol=1e-9, atol=0)
         assert_rel_close(result.x_hat, ref.x_hat, 1e-9)
@@ -940,6 +1001,18 @@ class TestTwoBlocks:
                 DivergenceError, match="^solver diverged: non-finite objective at inner step 0$"):
             fit(PartialMatrix(x, mask), np.where(np.arange(100) % 2, -1, 1))
         assert capfd.readouterr().err == ""
+
+    def test_worker_runs_under_the_callers_error_state(self):
+        seen = {}
+
+        def block(i):
+            seen[i] = np.geterr()
+
+        with np.errstate(divide="raise", over="ignore", under="warn", invalid="print"):
+            expected = np.geterr()
+            completion._each_block(block, 2)
+        assert expected != np.geterr()  # a state other than the default
+        assert seen == {0: expected, 1: expected}
 
     @pytest.mark.parametrize("failing", [0, 1], ids=["caller", "worker"])
     def test_an_error_in_either_block_is_raised_once_both_end(self, failing):
