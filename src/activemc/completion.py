@@ -241,10 +241,12 @@ class _State:
     Its arrays are C-ordered tall views, held split into ``count`` row
     blocks: np.dot and np.matmul write only into a C-ordered out, and a wide
     matrix goes back transposed, as SVT hands a wide matrix back.
-    ``current`` indexes the buffer that holds the current matrix.
+    ``current`` indexes the buffer that holds the current matrix. With
+    ``value_only`` it holds what one value of the start needs: the mask
+    over L, one buffer and one work array.
     """
 
-    def __init__(self, obs, y, lambda2, start):
+    def __init__(self, obs, y, lambda2, start, value_only=False):
         self.wide = obs.shape[0] < obs.shape[1]
         self.blocks = _blocks(obs.shape)
         self.count = len(self.blocks)
@@ -254,8 +256,9 @@ class _State:
         shape = self.mask.shape
         self.scaled_mask = np.empty(shape)
         self.mask_l = self.split(self.scaled_mask)
-        self.work = tuple(self.split(np.empty(shape)) for _ in range(3))
-        self.buffers = self.tall(start).copy(order="C"), np.empty(shape)
+        self.work = tuple(self.split(np.empty(shape)) for _ in range(1 if value_only else 3))
+        first = self.tall(start).copy(order="C")
+        self.buffers = (first,) if value_only else (first, np.empty(shape))
         self.iterates = tuple(self.split(b) for b in self.buffers)
 
     def tall(self, a):
@@ -312,7 +315,7 @@ def objective(x_hat, obs: PartialMatrix, model: LinearModel, labels, cfg: Comple
     y = _as_labels(labels)
     _check_shapes(x, obs, model, y)
     tr = trace_norm(x) if cfg.lambda1 else 0.0
-    return _solver_objective(_State(obs, y, cfg.lambda2, x), tr, model, cfg)
+    return _solver_objective(_State(obs, y, cfg.lambda2, x, value_only=True), tr, model, cfg)
 
 
 def grad_g(z, obs: PartialMatrix, model: LinearModel, labels, lambda2: float) -> np.ndarray:

@@ -244,7 +244,7 @@ def _select_batch(plan: ExperimentPlan, tracker: InformativenessTracker,
             chosen = select_cost_ratio((rows, cols, scores), column_costs, plan.batch_size)
         else:
             # poss: the pool is the highest-variance entries the round can afford,
-            # so the bit vectors stay short; optimize the batch under the budget.
+            # so the search stays small; optimize the batch under the budget.
             ok = np.flatnonzero(column_costs[cols] <= plan.budget_per_round)
             pool = ok[select_top_k((rows[ok], cols[ok], scores[ok]), plan.poss_pool)]
             problem = BiObjectiveProblem(scores[pool], column_costs[cols[pool]],

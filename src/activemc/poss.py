@@ -2,20 +2,25 @@
 
 Candidates are the positions 0..n-1 of a pool, each with a score (to
 maximize) and a cost (to minimize); the caller maps positions back to
-entries. Subsets are bit vectors rated on two objectives:
-j1 = minus the total score, with a +inf sentinel for the empty subset and
-for subsets costing at least twice the budget; j2 = the total cost. An
-evolutionary loop (POMC, after Qian, Yu & Zhou 2015 and Qian et al. 2017)
-keeps an archive of mutually nondominated subsets sorted by cost, and the
-final answer is the best-scoring archived subset within the budget.
+entries. A subset is held as its ascending positions, a tuple, and rated
+on two objectives: j1 = minus the total score, with a +inf sentinel for
+the empty subset and for subsets costing at least twice the budget; j2 =
+the total cost. Both totals are ``math.fsum``'s, exactly rounded, so a
+subset's rating does not depend on the order of its sum. A problem whose
+scores or costs sum past the largest float is rejected: both are
+nonnegative, so those totals bound every subset's. An evolutionary loop
+(POMC, after Qian, Yu & Zhou 2015 and Qian et al. 2017) keeps an archive
+of mutually nondominated subsets sorted by cost, and the final answer is
+the best-scoring archived subset within the budget.
 
 The loop draws its randomness in chunks of children: one parent pick per
 child, and standard bit mutation for the whole chunk at once, as one
-binomial count of flipped bits among all its children's bits and a
-uniform set of that many distinct bits. A child flipping nothing is
+binomial count of flipped positions among all its children's and a
+uniform set of that many distinct ones. A child flipping nothing is
 skipped; the rest are screened with objectives updated from the parent's
-by the flipped entries, and only the children that pass are evaluated in
-full and archived.
+by the flipped entries, each flip's membership found by bisecting the
+parent's positions, and only the children that pass get their own
+positions and are evaluated in full and archived.
 """
 
 from __future__ import annotations
@@ -51,6 +56,14 @@ class BiObjectiveProblem:
             raise ValueError("informativeness must be finite and nonnegative")
         if not 0 < self.budget < math.inf:  # NaN fails too
             raise ValueError("budget must be positive and finite")
+        # read by evaluate and the search, as list indexing beats numpy's per entry
+        self._costs, self._gains = self.costs.tolist(), self.informativeness.tolist()
+        # every subset sum is at most its total, as both are nonnegative
+        for name, values in (("costs", self._costs), ("informativeness scores", self._gains)):
+            try:
+                math.fsum(values)
+            except OverflowError:
+                raise ValueError(f"the sum of all {name} overflows a float") from None
 
     def __len__(self) -> int:
         return len(self.informativeness)
@@ -58,21 +71,28 @@ class BiObjectiveProblem:
 
 @dataclass
 class Solution:
-    bits: np.ndarray
+    """A subset as its ascending positions, with its two objectives."""
+
+    positions: tuple[int, ...]
     j1: float
     j2: float
 
 
-def evaluate(problem: BiObjectiveProblem, bits) -> Solution:
-    b = np.asarray(bits, dtype=bool)
-    if b.shape != (len(problem),):
-        raise DimensionMismatchError("bit vector length does not match candidate count")
-    j2 = float(problem.costs[b].sum())
-    if not b.any() or j2 >= 2.0 * problem.budget:
+def evaluate(problem: BiObjectiveProblem, positions) -> Solution:
+    """Rate the subset of ``positions``, any iterable of positions in the pool.
+
+    Both sums are ``math.fsum``'s, exactly rounded, so they do not depend on
+    the order of the positions.
+    """
+    members = tuple(sorted(set(positions)))
+    if members and not (0 <= members[0] and members[-1] < len(problem.costs)):
+        raise DimensionMismatchError("a position lies outside the pool")
+    j2 = math.fsum(map(problem._costs.__getitem__, members))
+    if not members or j2 >= 2.0 * problem.budget:
         j1 = math.inf
     else:
-        j1 = -float(problem.informativeness[b].sum())
-    return Solution(bits=b.copy(), j1=j1, j2=j2)
+        j1 = -math.fsum(map(problem._gains.__getitem__, members))
+    return Solution(members, j1, j2)
 
 
 class SolutionArchive:
@@ -134,19 +154,21 @@ def _evolve(problem: BiObjectiveProblem, iterations: int, rng: np.random.Generat
     """Run ``iterations`` mutations from the empty subset; return the final archive.
 
     Each child mutates a uniformly chosen archived parent. A child that
-    flips no bit equals its parent and is skipped. The others are screened
-    with objectives updated from the parent's by the flipped entries; only a
-    child that passes is evaluated from scratch and re-checked before it is
-    archived, so every archived (j1, j2) comes from a full sum. The screen
-    differs from the full sums by rounding only, so the sole children it
-    turns away wrongly lie within rounding of an archived pair or of the
-    2 * budget sentinel.
+    flips no position equals its parent and is skipped. The others are
+    screened with objectives updated from the parent's by the flipped
+    entries, each one's membership found by bisecting the parent's
+    positions; only a child that passes gets its own positions, is
+    evaluated from scratch and re-checked before it is archived, so every
+    archived (j1, j2) comes from a full sum. The screen differs from the
+    full sums by rounding only, so the sole children it turns away wrongly
+    lie within rounding of an archived pair or of the 2 * budget sentinel.
     """
     n = len(problem)
-    costs = problem.costs.tolist()
-    gains = problem.informativeness.tolist()
+    costs, gains = problem._costs, problem._gains
     cap = 2.0 * problem.budget
-    archive = SolutionArchive(evaluate(problem, np.zeros(n, dtype=bool)))
+    archive = SolutionArchive(evaluate(problem, ()))
+    # the archive's lists, updated in place by insert: weakly_dominated, inlined
+    solutions, j1s, j2s = archive.solutions, archive._j1, archive._j2
     for done in range(0, iterations, _CHUNK):
         size = min(_CHUNK, iterations - done)
         picks = rng.random(size).tolist()
@@ -155,29 +177,32 @@ def _evolve(problem: BiObjectiveProblem, iterations: int, rng: np.random.Generat
         positions = positions.tolist()
         begin = 0
         for pick, end in zip(picks, ends):
+            if begin == end:
+                continue
             flips = positions[begin:end]
             begin = end
-            if not flips:
-                continue
-            parent = archive.solutions[int(pick * len(archive))]
-            bits = parent.bits
+            parent = solutions[int(pick * len(solutions))]
+            members = parent.positions
             # the empty subset is the only archived one with the sentinel:
             # any other sentinel subset costs more and is dominated by it
             gain = 0.0 if parent.j1 == math.inf else -parent.j1
             cost = parent.j2
             for j in flips:
-                if bits[j]:
+                i = bisect_left(members, j)
+                if i < len(members) and members[i] == j:
                     cost -= costs[j]
                     gain -= gains[j]
                 else:
                     cost += costs[j]
                     gain += gains[j]
-            if cost >= cap or archive.weakly_dominated(-gain, cost):
+            if cost >= cap:
                 continue
-            child_bits = bits.copy()
-            child_bits[flips] ^= True
-            child = evaluate(problem, child_bits)
-            if not archive.weakly_dominated(child.j1, child.j2):
+            i = bisect_right(j2s, cost)
+            if i and j1s[i - 1] <= -gain:
+                continue
+            child = evaluate(problem, set(members).symmetric_difference(flips))
+            i = bisect_right(j2s, child.j2)
+            if not (i and j1s[i - 1] <= child.j1):
                 archive.insert(child)
     return archive
 
@@ -189,7 +214,7 @@ def poss_optimize(problem: BiObjectiveProblem, iterations: int, *,
     Starts from the empty subset; each of the ``iterations`` mutates a
     uniformly chosen archived solution, flipping each bit with probability
     1/n, and keeps it only if nothing archived is at least as good in both
-    objectives. None from an empty pool or when nothing fits the budget.
+    objectives. Empty from an empty pool or when nothing fits the budget.
     Deterministic for a given seeded ``rng``.
     """
     if iterations < 1:
@@ -201,4 +226,4 @@ def poss_optimize(problem: BiObjectiveProblem, iterations: int, *,
     best = _evolve(problem, iterations, rng, 1.0 / n).best_within(problem.budget)
     if best is None:
         return np.zeros(0, dtype=int)
-    return np.flatnonzero(best.bits)
+    return np.array(best.positions)

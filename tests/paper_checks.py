@@ -3,15 +3,19 @@
 Plain functions for the tests, without input validation: coherence and
 Theorem 1's recovery bound (criterion 10), Lemma 3's Hadamard trace-norm
 inequality (criterion 9), POSS's default iteration budget and the exact
-0/1 knapsack optimum over whole-number costs (criterion 7). Not named
-``test_*``, so pytest does not collect it; test files import it by name.
+0/1 knapsack optimum over whole-number costs (criterion 7), and a reference
+POSS search on bit vectors with problems shaped like the loop's, for the
+search on positions. Not named ``test_*``, so pytest does not collect it;
+test files import it by name.
 """
 
 import math
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 
 from activemc.matrix import trace_norm
+from activemc.poss import _CHUNK, BiObjectiveProblem, _draw_flips
 
 # Singular values below this fraction of the largest count as zero when
 # deciding the numerical rank used by coherence().
@@ -91,3 +95,82 @@ def knapsack_optimum(gains, costs, budget) -> float:
         if cost < best.size:
             best[cost:] = np.maximum(best[cost:], best[:best.size - cost] + gain)
     return float(best[-1])
+
+
+def loop_shaped_problem(rng: np.random.Generator) -> BiObjectiveProblem:
+    """A POSS problem shaped like the loop's: pool 200, budget 25, whole costs 1-10.
+
+    As in the loop, the pool's entries share the costs of 20 columns, and
+    the scores are variance-like: sample variances of five draws, at
+    log-normal scales that give a few entries most of the total.
+    """
+    column_costs = rng.integers(1, 11, size=20).astype(float)
+    costs = column_costs[rng.integers(0, 20, size=200)]
+    scores = rng.standard_normal((200, 5)).var(axis=1) * rng.lognormal(-6.5, 1.0, size=200)
+    return BiObjectiveProblem(scores, costs, 25.0)
+
+
+def reference_pomc(problem, iterations: int, rng: np.random.Generator, flip_prob: float):
+    """POSS's search on bit vectors: the reference for ``poss._evolve``.
+
+    The same draws (``_draw_flips`` chunks, one parent pick per child) and
+    the same screen, with each subset a numpy bool vector: a child is the
+    parent's copy with its flips toggled by fancy indexing, and its full
+    sums are ``math.fsum`` over the masked scores and costs. The archive is
+    (bits, j1, j2) lists kept sorted by cost. Returns the archive as
+    (positions, j1, j2) triples, the number of children that passed the
+    screen and the number archived.
+    """
+    n = len(problem)
+    costs, gains = problem.costs, problem.informativeness
+    cap = 2.0 * problem.budget
+
+    def full(bits):
+        j2 = math.fsum(costs[bits])
+        return (math.inf if not bits.any() or j2 >= cap else -math.fsum(gains[bits])), j2
+
+    members = [np.zeros(n, dtype=bool)]
+    j1, j2 = full(members[0])
+    j1s, j2s = [j1], [j2]
+    screened = archived = 0
+    for done in range(0, iterations, _CHUNK):
+        size = min(_CHUNK, iterations - done)
+        picks = rng.random(size).tolist()
+        counts, flat = _draw_flips(n, flip_prob, size, rng)
+        for pick, flips in zip(picks, np.split(flat, np.cumsum(counts)[:-1])):
+            if not flips.size:
+                continue
+            parent = int(pick * len(members))
+            bits = members[parent]
+            gain = 0.0 if j1s[parent] == math.inf else -j1s[parent]
+            cost = j2s[parent]
+            for j in flips.tolist():
+                if bits[j]:
+                    cost -= costs[j]
+                    gain -= gains[j]
+                else:
+                    cost += costs[j]
+                    gain += gains[j]
+            i = bisect_right(j2s, cost)
+            if cost >= cap or (i and j1s[i - 1] <= -gain):
+                continue
+            screened += 1
+            child = bits.copy()
+            child[flips] ^= True
+            j1, j2 = full(child)
+            i = bisect_right(j2s, j2)
+            if i and j1s[i - 1] <= j1:
+                continue
+            archived += 1
+            lo = hi = bisect_left(j2s, j2)
+            while hi < len(j1s) and j1s[hi] >= j1:
+                hi += 1
+            members[lo:hi], j1s[lo:hi], j2s[lo:hi] = [child], [j1], [j2]
+    archive = [(tuple(np.flatnonzero(b).tolist()), a, c) for b, a, c in zip(members, j1s, j2s)]
+    return archive, screened, archived
+
+
+def reference_picks(archive, budget: float) -> list[int]:
+    """The positions ``poss_optimize`` returns from a ``reference_pomc`` archive."""
+    within = [s for s in archive if s[2] <= budget]
+    return list(within[-1][0]) if within and math.isfinite(within[-1][1]) else []

@@ -464,6 +464,33 @@ class TestApgMinimize:
                 outer = completion._solver_objective(state, 0.0, model, cfg)
                 assert best_f + completion._ridge_term(model, cfg) == outer, (n, d, seed)
 
+    def test_public_objective_is_the_solver_value(self):
+        # objective builds a lighter state than fit's, on the same blocks
+        cfg = CompletionConfig(lambda1=0.5, lambda2=1.0)
+        # one block, wide, then two
+        for n, d in [(30, 8), (8, 30), (800, 100)]:
+            for seed in range(3):
+                x, obs, y, model = random_instance(np.random.default_rng(seed), n=n, d=d)
+                state = completion._State(obs, _as_labels(y), cfg.lambda2, x)
+                expected = completion._solver_objective(state, trace_norm(x), model, cfg)
+                assert objective(x, obs, model, y, cfg) == expected, (n, d, seed)
+
+    @pytest.mark.parametrize("shape", [(1000, 80), (2000, 100)])
+    def test_public_objective_peak_is_three_matrices(self, shape):
+        # the mask over L, the copy of the point and one scratch array
+        rng = np.random.default_rng(11)
+        x, y, _ = labeled_lowrank(*shape, 5, rng)
+        obs, _ = masked_problem(x, init_mask(x.shape, 0.6, 11), True)
+        cfg = CompletionConfig(lambda1=0.0)
+        model = train_ridge(obs.values, y, cfg.ridge)
+        tracemalloc.start()
+        try:
+            objective(x, obs, model, y, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * x.nbytes, f"peak {peak / x.nbytes:.2f}x the matrix"
+
     @pytest.mark.parametrize("lambda2", [1.0, 0.0])
     def test_traced_peak_is_a_few_matrices(self, lambda2):
         # the mask over L, two carried gradient steps (one also holds SVT's

@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from paper_checks import default_iterations, knapsack_optimum
+from paper_checks import (
+    default_iterations,
+    knapsack_optimum,
+    loop_shaped_problem,
+    reference_picks,
+    reference_pomc,
+)
 
+from activemc import poss
 from activemc.errors import DimensionMismatchError
 from activemc.poss import (
     BiObjectiveProblem,
@@ -36,36 +43,48 @@ def mutually_nondominated(archive: SolutionArchive) -> bool:
 class TestEvaluate:
     def test_empty_subset_is_sentinel(self):
         p = small_problem([1.0], [1.0], 2.0)
-        s = evaluate(p, [False])
-        assert s.j1 == math.inf and s.j2 == 0.0
+        s = evaluate(p, [])
+        assert s.positions == () and s.j1 == math.inf and s.j2 == 0.0
 
     def test_single_candidate(self):
         p = small_problem([5.0], [1.0], 2.0)
-        s = evaluate(p, [True])
-        assert s.j1 == -5.0 and s.j2 == 1.0
+        s = evaluate(p, [0])
+        assert s.positions == (0,) and s.j1 == -5.0 and s.j2 == 1.0
 
     def test_cost_at_twice_budget_is_excluded(self):
         p = small_problem([5.0, 5.0], [2.0, 2.0], 2.0)
-        s = evaluate(p, [True, True])  # j2 = 4 = 2b exactly
+        s = evaluate(p, [0, 1])  # j2 = 4 = 2b exactly
         assert s.j1 == math.inf and s.j2 == 4.0
 
     def test_length_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            evaluate(small_problem([1.0], [1.0], 1.0), [True, False])
+        # a position at or past the pool's length, or below 0
+        for positions in ([0, 1], [-1]):
+            with pytest.raises(DimensionMismatchError):
+                evaluate(small_problem([1.0], [1.0], 1.0), positions)
+
+    def test_positions_are_a_set(self):
+        p = small_problem([1.0, 2.0, 4.0], [1.0, 1.0, 1.0], 3.0)
+        s = evaluate(p, np.array([2, 0, 2]))
+        assert s.positions == (0, 2) and s.j1 == -5.0 and s.j2 == 2.0
+
+    def test_sums_are_exactly_rounded(self):
+        # summed left to right, 1.0 absorbs each 2**-53 and the sum stays 1.0
+        p = small_problem([1.0, 2.0**-53, 2.0**-53], [1.0, 1.0, 1.0], 3.0)
+        assert evaluate(p, [0, 1, 2]).j1 == -(1.0 + 2.0**-52)
 
 
 class TestDominates:
     def test_strictly_better_in_both(self):
-        assert dominates(Solution(np.array([1]), -5.0, 1.0), Solution(np.array([1]), -3.0, 2.0))
+        assert dominates(Solution((0,), -5.0, 1.0), Solution((0,), -3.0, 2.0))
 
     def test_equal_does_not_dominate(self):
-        a = Solution(np.array([1]), -5.0, 1.0)
-        b = Solution(np.array([0]), -5.0, 1.0)
+        a = Solution((0,), -5.0, 1.0)
+        b = Solution((), -5.0, 1.0)
         assert not dominates(a, b) and not dominates(b, a)
 
     def test_incomparable_pair(self):
-        a = Solution(np.array([1]), -5.0, 2.0)
-        b = Solution(np.array([0]), -3.0, 1.0)
+        a = Solution((0,), -5.0, 2.0)
+        b = Solution((), -3.0, 1.0)
         assert not dominates(a, b) and not dominates(b, a)
 
 
@@ -123,30 +142,30 @@ class TestDrawFlips:
 
 class TestArchive:
     def test_insert_evicts_weakly_dominated(self):
-        archive = SolutionArchive(Solution(np.array([0, 1]), -3.0, 2.0))
-        archive.insert(Solution(np.array([1, 1]), -4.0, 2.0))
+        archive = SolutionArchive(Solution((1,), -3.0, 2.0))
+        archive.insert(Solution((0, 1), -4.0, 2.0))
         assert len(archive) == 1
         assert archive.solutions[0].j1 == -4.0
 
     def test_incomparable_members_coexist(self):
-        archive = SolutionArchive(Solution(np.array([1, 0]), -3.0, 1.0))
+        archive = SolutionArchive(Solution((0,), -3.0, 1.0))
         assert not archive.weakly_dominated(-5.0, 2.0)
-        archive.insert(Solution(np.array([0, 1]), -5.0, 2.0))
+        archive.insert(Solution((1,), -5.0, 2.0))
         assert len(archive) == 2
         assert mutually_nondominated(archive)
 
     def test_duplicate_objectives_are_weakly_dominated(self):
-        archive = SolutionArchive(Solution(np.array([1, 0]), -3.0, 1.0))
+        archive = SolutionArchive(Solution((0,), -3.0, 1.0))
         assert archive.weakly_dominated(-3.0, 1.0)
 
     def test_kept_sorted_by_cost(self):
-        archive = SolutionArchive(Solution(np.array([1, 1, 0]), -6.0, 3.0))
-        archive.insert(Solution(np.array([1, 0, 0]), -2.0, 1.0))
-        archive.insert(Solution(np.array([0, 1, 0]), -4.0, 2.0))
-        archive.insert(Solution(np.array([0, 0, 1]), -1.0, 0.5))
+        archive = SolutionArchive(Solution((0, 1), -6.0, 3.0))
+        archive.insert(Solution((0,), -2.0, 1.0))
+        archive.insert(Solution((1,), -4.0, 2.0))
+        archive.insert(Solution((2,), -1.0, 0.5))
         assert [s.j2 for s in archive.solutions] == [0.5, 1.0, 2.0, 3.0]
         # (-4.5, 1.0) evicts the members costing 1 and 2, and only those
-        archive.insert(Solution(np.array([1, 0, 1]), -4.5, 1.0))
+        archive.insert(Solution((0, 2), -4.5, 1.0))
         assert [(s.j1, s.j2) for s in archive.solutions] == [(-1.0, 0.5), (-4.5, 1.0), (-6.0, 3.0)]
 
 
@@ -236,12 +255,13 @@ class TestEvolveProperties:
         j2 = [s.j2 for s in archive.solutions]
         assert j2 == sorted(set(j2)) and j1 == sorted(set(j1), reverse=True)
         for s in archive.solutions:
-            exact = evaluate(p, s.bits)
+            assert s.positions == tuple(sorted(set(s.positions)))  # ascending, distinct
+            exact = evaluate(p, s.positions)
             assert (s.j1, s.j2) == (exact.j1, exact.j2)
 
         best = archive.best_within(p.budget)
         if best is not None:
-            assert p.costs[best.bits].sum() <= p.budget
+            assert p.costs[list(best.positions)].sum() <= p.budget
 
         # poss_optimize flips at 1/n, so it returns the best of that archive
         chosen = poss_optimize(p, iterations, rng=np.random.default_rng(seed))
@@ -250,8 +270,35 @@ class TestEvolveProperties:
         bits[chosen] = True
         assert p.costs[bits].sum() <= p.budget
         if flip_prob is None:
-            expected = np.zeros(len(p), bool) if best is None else best.bits
-            np.testing.assert_array_equal(bits, expected)
+            expected = [] if best is None else list(best.positions)
+            assert chosen.tolist() == expected
+
+
+class TestLoopShapedReference:
+    """The search on positions against the reference on bit vectors, at the loop's settings."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_same_archive_picks_and_calls(self, seed, monkeypatch):
+        p = loop_shaped_problem(np.random.default_rng(seed))
+        expected, screened, archived = reference_pomc(p, 5000, np.random.default_rng([seed, 1]),
+                                                      1 / 200)
+        calls = {"evaluate": 0, "insert": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(poss, "evaluate", counted("evaluate", poss.evaluate))
+        monkeypatch.setattr(SolutionArchive, "insert", counted("insert", SolutionArchive.insert))
+        archive = _evolve(p, 5000, np.random.default_rng([seed, 1]), 1 / 200)
+
+        assert [(s.positions, s.j1, s.j2) for s in archive.solutions] == expected
+        # once per screened survivor and once for the empty start; insert only when archived
+        assert calls == {"evaluate": screened + 1, "insert": archived}
+        chosen = poss_optimize(p, 5000, rng=np.random.default_rng([seed, 1]))
+        assert chosen.tolist() == reference_picks(expected, p.budget) != []
 
 
 class TestDefaults:
@@ -312,3 +359,13 @@ class TestProblemValidation:
     def test_nonpositive_or_non_finite_budget_rejected(self, budget):
         with pytest.raises(ValueError, match="^budget must be positive and finite$"):
             small_problem([1.0], [1.0], budget)
+
+    @pytest.mark.parametrize("gains, costs, name", [
+        ([1e308] * 3, [1.0] * 3, "informativeness scores"),
+        ([1.0] * 3, [1e308] * 3, "costs"),
+    ])
+    def test_totals_that_overflow_rejected(self, gains, costs, name):
+        # every subset sum is at most the total; scores summing past the
+        # largest float made j1 = -inf, read as "nothing fits"
+        with pytest.raises(ValueError, match=f"^the sum of all {name} overflows a float$"):
+            small_problem(gains, costs, 3.0)
