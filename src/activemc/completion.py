@@ -57,9 +57,11 @@ over the carried steps, with the factor ``1 + beta`` handed to SVT as its
 scale, and none on the two momentum-free steps. ``fit`` builds the solver's
 state once for all rounds: the row blocks, the split values and mask, the
 mask over ``L`` (rewritten in place when the model changes), the carried
-steps, the momentum point's scratch and two iterate buffers. The start is
-copied into one buffer, so the current matrix is always one of the two;
-a new iterate goes into the one not holding the best iterate.
+steps, the momentum point's scratch and two iterate buffers. ``objective``
+builds the same state for one value of its start; ``fit`` adds to it what
+that value does not use. The start is copied into one buffer, so the
+current matrix is always one of the two; a new iterate goes into the one
+not holding the best iterate.
 
 A matrix of at least ``_SPLIT_CELLS`` cells runs the inner step's
 row-separable passes on two fixed halves of its long side (the rows, or a
@@ -241,12 +243,12 @@ class _State:
     Its arrays are C-ordered tall views, held split into ``count`` row
     blocks: np.dot and np.matmul write only into a C-ordered out, and a wide
     matrix goes back transposed, as SVT hands a wide matrix back.
-    ``current`` indexes the buffer that holds the current matrix. With
-    ``value_only`` it holds what one value of the start needs: the mask
-    over L, one buffer and one work array.
+    ``current`` indexes the buffer that holds the current matrix. Built, it
+    holds what one value of the start needs: the mask over L, one buffer
+    and one work array; ``add_apg_arrays`` adds the rest of ``_apg``'s.
     """
 
-    def __init__(self, obs, y, lambda2, start, value_only=False):
+    def __init__(self, obs, y, lambda2, start):
         self.wide = obs.shape[0] < obs.shape[1]
         self.blocks = _blocks(obs.shape)
         self.count = len(self.blocks)
@@ -256,10 +258,17 @@ class _State:
         shape = self.mask.shape
         self.scaled_mask = np.empty(shape)
         self.mask_l = self.split(self.scaled_mask)
-        self.work = tuple(self.split(np.empty(shape)) for _ in range(1 if value_only else 3))
-        first = self.tall(start).copy(order="C")
-        self.buffers = (first,) if value_only else (first, np.empty(shape))
-        self.iterates = tuple(self.split(b) for b in self.buffers)
+        self.work = (self.split(np.empty(shape)),)
+        self.buffers = (self.tall(start).copy(order="C"),)
+        self.iterates = (self.split(self.buffers[0]),)
+
+    def add_apg_arrays(self):
+        """Add what ``_apg`` uses beyond one value: two more work arrays and
+        the second iterate buffer."""
+        shape = self.mask.shape
+        self.work += tuple(self.split(np.empty(shape)) for _ in range(2))
+        self.buffers += (np.empty(shape),)
+        self.iterates += (self.split(self.buffers[1]),)
 
     def tall(self, a):
         return a.T if self.wide else a
@@ -315,7 +324,7 @@ def objective(x_hat, obs: PartialMatrix, model: LinearModel, labels, cfg: Comple
     y = _as_labels(labels)
     _check_shapes(x, obs, model, y)
     tr = trace_norm(x) if cfg.lambda1 else 0.0
-    return _solver_objective(_State(obs, y, cfg.lambda2, x, value_only=True), tr, model, cfg)
+    return _solver_objective(_State(obs, y, cfg.lambda2, x), tr, model, cfg)
 
 
 def grad_g(z, obs: PartialMatrix, model: LinearModel, labels, lambda2: float) -> np.ndarray:
@@ -511,6 +520,7 @@ def fit(obs: PartialMatrix, labels, cfg: CompletionConfig | None = None,
     # refit keeps x_hat), taken before the state: SVD's copy is not held beside it
     tr_hat = trace_norm(start) if cfg.lambda1 else 0.0
     state = _State(obs, y, cfg.lambda2, start)  # for every round: see the module docstring
+    state.add_apg_arrays()
     model = train_ridge(state.x_hat(), y, cfg.ridge)
 
     trace: list[float] = []

@@ -36,18 +36,27 @@ from .errors import DimensionMismatchError
 # Children drawn per batch of random numbers, bounding the memory of a long run.
 _CHUNK = 1024
 
+# the types evaluate refuses as positions
+_BOOLS = frozenset((bool, np.bool_))
 
-@dataclass
+
+@dataclass(frozen=True)
 class BiObjectiveProblem:
-    """A pool of candidates: per position a score and a cost, and one budget for their sum."""
+    """A pool of candidates: per position a score and a cost, and one budget for their sum.
+
+    Frozen, and its vectors are read-only copies: the search reads the same
+    values from Python lists made here, which must not drift from them.
+    """
 
     informativeness: np.ndarray
     costs: np.ndarray
     budget: float
 
     def __post_init__(self):
-        self.informativeness = np.asarray(self.informativeness, dtype=float)
-        self.costs = np.asarray(self.costs, dtype=float)
+        for name in ("informativeness", "costs"):
+            values = np.array(getattr(self, name), dtype=float)
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
         if self.informativeness.ndim != 1 or self.costs.shape != self.informativeness.shape:
             raise DimensionMismatchError("scores and costs must be 1-d vectors of one length")
         if not ((0 < self.costs) & (self.costs < math.inf)).all():
@@ -57,7 +66,8 @@ class BiObjectiveProblem:
         if not 0 < self.budget < math.inf:  # NaN fails too
             raise ValueError("budget must be positive and finite")
         # read by evaluate and the search, as list indexing beats numpy's per entry
-        self._costs, self._gains = self.costs.tolist(), self.informativeness.tolist()
+        object.__setattr__(self, "_costs", self.costs.tolist())
+        object.__setattr__(self, "_gains", self.informativeness.tolist())
         # every subset sum is at most its total, as both are nonnegative
         for name, values in (("costs", self._costs), ("informativeness scores", self._gains)):
             try:
@@ -82,9 +92,12 @@ def evaluate(problem: BiObjectiveProblem, positions) -> Solution:
     """Rate the subset of ``positions``, any iterable of positions in the pool.
 
     Both sums are ``math.fsum``'s, exactly rounded, so they do not depend on
-    the order of the positions.
+    the order of the positions. A boolean is refused, as it would read as
+    position 0 or 1.
     """
     members = tuple(sorted(set(positions)))
+    if not _BOOLS.isdisjoint(map(type, members)):
+        raise TypeError("positions must be integers, not booleans")
     if members and not (0 <= members[0] and members[-1] < len(problem.costs)):
         raise DimensionMismatchError("a position lies outside the pool")
     j2 = math.fsum(map(problem._costs.__getitem__, members))
@@ -167,8 +180,7 @@ def _evolve(problem: BiObjectiveProblem, iterations: int, rng: np.random.Generat
     costs, gains = problem._costs, problem._gains
     cap = 2.0 * problem.budget
     archive = SolutionArchive(evaluate(problem, ()))
-    # the archive's lists, updated in place by insert: weakly_dominated, inlined
-    solutions, j1s, j2s = archive.solutions, archive._j1, archive._j2
+    solutions, dominated = archive.solutions, archive.weakly_dominated
     for done in range(0, iterations, _CHUNK):
         size = min(_CHUNK, iterations - done)
         picks = rng.random(size).tolist()
@@ -195,14 +207,10 @@ def _evolve(problem: BiObjectiveProblem, iterations: int, rng: np.random.Generat
                 else:
                     cost += costs[j]
                     gain += gains[j]
-            if cost >= cap:
-                continue
-            i = bisect_right(j2s, cost)
-            if i and j1s[i - 1] <= -gain:
+            if cost >= cap or dominated(-gain, cost):
                 continue
             child = evaluate(problem, set(members).symmetric_difference(flips))
-            i = bisect_right(j2s, child.j2)
-            if not (i and j1s[i - 1] <= child.j1):
+            if not dominated(child.j1, child.j2):
                 archive.insert(child)
     return archive
 

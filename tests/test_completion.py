@@ -59,6 +59,7 @@ def solve(obs, model, y, cfg, warm):
     warm = np.asarray(warm, dtype=float)
     tr_warm = trace_norm(warm) if cfg.lambda1 else 0.0
     state = completion._State(obs, _as_labels(y), cfg.lambda2, warm)
+    state.add_apg_arrays()
     best_x, _, best_f, _, steps = completion._apg(state, model, cfg, tr_warm, cfg.tol)
     return best_x, best_f, steps
 
@@ -458,6 +459,7 @@ class TestApgMinimize:
                 _, obs, y, model = random_instance(np.random.default_rng(seed), n=n, d=d)
                 warm = np.zeros(obs.shape)
                 state = completion._State(obs, _as_labels(y), cfg.lambda2, warm)
+                state.add_apg_arrays()
                 best_x, _, best_f, _, _ = completion._apg(state, model, cfg, 0.0, cfg.tol)
                 np.testing.assert_array_equal(best_x, warm)
                 # the refit's value, on the state the inner loop left
@@ -465,13 +467,14 @@ class TestApgMinimize:
                 assert best_f + completion._ridge_term(model, cfg) == outer, (n, d, seed)
 
     def test_public_objective_is_the_solver_value(self):
-        # objective builds a lighter state than fit's, on the same blocks
+        # fit's state, with _apg's arrays; objective builds it without them
         cfg = CompletionConfig(lambda1=0.5, lambda2=1.0)
         # one block, wide, then two
         for n, d in [(30, 8), (8, 30), (800, 100)]:
             for seed in range(3):
                 x, obs, y, model = random_instance(np.random.default_rng(seed), n=n, d=d)
                 state = completion._State(obs, _as_labels(y), cfg.lambda2, x)
+                state.add_apg_arrays()
                 expected = completion._solver_objective(state, trace_norm(x), model, cfg)
                 assert objective(x, obs, model, y, cfg) == expected, (n, d, seed)
 
@@ -506,6 +509,7 @@ class TestApgMinimize:
         try:
             # the state copies the start into one of its buffers
             state = completion._State(obs, _as_labels(y), cfg.lambda2, obs.values)
+            state.add_apg_arrays()
             *_, steps = completion._apg(state, model, cfg, tr_warm, 0.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:

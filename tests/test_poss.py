@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -61,6 +62,12 @@ class TestEvaluate:
         for positions in ([0, 1], [-1]):
             with pytest.raises(DimensionMismatchError):
                 evaluate(small_problem([1.0], [1.0], 1.0), positions)
+
+    @pytest.mark.parametrize("positions", [[True, False], [False], np.array([True, False])])
+    def test_booleans_rejected(self, positions):
+        # a bit vector would read as positions 0 and 1
+        with pytest.raises(TypeError, match="^positions must be integers, not booleans$"):
+            evaluate(small_problem([1.0, 2.0], [1.0, 1.0], 2.0), positions)
 
     def test_positions_are_a_set(self):
         p = small_problem([1.0, 2.0, 4.0], [1.0, 1.0, 1.0], 3.0)
@@ -369,3 +376,14 @@ class TestProblemValidation:
         # largest float made j1 = -inf, read as "nothing fits"
         with pytest.raises(ValueError, match=f"^the sum of all {name} overflows a float$"):
             small_problem(gains, costs, 3.0)
+
+    def test_scores_and_costs_cannot_change(self):
+        # evaluate and the search read copies made at construction
+        costs = np.array([1.0, 2.0])
+        p = small_problem([1.0, 1.0], costs, 2.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.costs = np.array([5.0, 5.0])
+        with pytest.raises(ValueError, match="read-only"):
+            p.informativeness[0] = 5.0
+        costs[0] = 5.0  # the caller's array stays writable and is not read
+        assert evaluate(p, [0]).j2 == 1.0
