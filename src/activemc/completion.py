@@ -67,26 +67,26 @@ A matrix of at least ``_SPLIT_CELLS`` cells runs the inner step's
 row-separable passes on two fixed halves of its long side (the rows, or a
 wide matrix's columns): the momentum point's two passes with the half's
 partial Gram matrix, summed for SVT, then the rank-``k`` rebuild with the
-half's share of the next value. One worker thread, made at the first such
-step, runs the second half while the caller runs the first; the small
+half's share of the next value. Each such ``fit`` makes one worker thread,
+ended when the fit returns or raises, to run the second half while the
+caller runs the first; ``objective`` runs both in the caller. The small
 eigendecomposition, the sums of the partial results and the best-iterate
 and stop logic stay with the caller, so a step synchronises twice. The
 split depends on the shape alone, never on the CPU count, and below the
 crossover the same code runs one block inline and starts no thread. The
 worker sets the caller's ``np.errstate``, read with ``np.geterr()``, around
 its half, as neither numpy 2's context variable nor numpy 1's per-thread
-state crosses to another thread. A process forked after a fit makes its
-own worker, as the parent's thread does not exist in the child. Every
-value of the smooth part, the inner loop's and the outer objective's, is
-summed from the same blocks, so the two agree bit for bit. An iterate's
-``G`` is completed at the start of the next step, once the label residual
-``x @ w`` is summed: a column half of a wide matrix holds only part of it.
+state crosses to another thread. Every value of the smooth part, the
+inner loop's and the outer objective's, is summed from the same blocks in
+the same order, so the two agree bit for bit. An iterate's ``G`` is
+completed at the start of the next step, once the label residual ``x @ w``
+is summed: a column half of a wide matrix holds only part of it.
 """
 
 from __future__ import annotations
 
 import math
-import os
+from contextlib import nullcontext
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -111,11 +111,6 @@ _KAPPA = 1e-3
 # to win between 30,000 and 70,000 cells, by width, and won at every width
 # from here on.
 _SPLIT_CELLS = 70_000
-
-# (process id, executor) of the worker thread, made at the first two-block
-# call; a forked child finds its parent's id here and makes its own, since
-# the parent's thread did not come along
-_worker = None
 
 
 # field annotation text -> (accepted types, noun for the error); a bool
@@ -214,29 +209,6 @@ def _blocks(shape) -> tuple[slice, ...]:
     return slice(0, half), slice(half, rows)
 
 
-def _each_block(fn, count: int) -> list:
-    """``[fn(i) for i in range(count)]``; block 1 runs on the worker thread."""
-    global _worker
-    if count == 1:
-        return [fn(0)]
-    worker = _worker
-    if worker is None or worker[0] != os.getpid():
-        # imported here, as only a large fit needs it: concurrent.futures
-        # loads logging, which costs every process about 6 ms and 1 MB
-        from concurrent.futures import ThreadPoolExecutor
-
-        # two threads racing here make one each; the spare's thread ends
-        # when it is dropped
-        worker = _worker = os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="activemc-apg")
-    future = worker[1].submit(np.errstate(**np.geterr())(fn), 1)
-    try:
-        first = fn(0)
-    except BaseException:
-        future.exception()  # waits: its block writes into the caller's arrays
-        raise
-    return [first, future.result()]
-
-
 class _State:
     """The solver state of the module docstring, built once per ``fit``.
 
@@ -253,6 +225,7 @@ class _State:
         self.blocks = _blocks(obs.shape)
         self.count = len(self.blocks)
         self.y, self.lambda2, self.model, self.current = y, lambda2, None, 0
+        self.pool = None
         self.mask = self.tall(obs.mask)
         self.values = self.split(self.tall(obs.values))
         shape = self.mask.shape
@@ -280,6 +253,21 @@ class _State:
     def x_hat(self):
         return self.tall(self.buffers[self.current])
 
+    def each_block(self, fn) -> list:
+        """``[fn(i) for i in range(self.count)]``; block 1 runs on the
+        ``pool`` that ``fit`` sets, if any, while the caller runs block 0."""
+        if self.count == 1:
+            return [fn(0)]
+        if self.pool is None:
+            return [fn(0), fn(1)]
+        future = self.pool.submit(np.errstate(**np.geterr())(fn), 1)
+        try:
+            first = fn(0)
+        except BaseException:
+            future.exception()  # waits: its block writes into the caller's arrays
+            raise
+        return [first, future.result()]
+
     def part(self, i, x, out):
         """Block ``i``, ``x`` of the point and ``out`` of scratch: leaves the
         masked data residual over ``l`` in ``out`` and returns its squared
@@ -302,7 +290,7 @@ class _State:
             self.w = tuple(w[s] for s in self.blocks) if self.wide else w
             np.divide(self.mask, self.l, out=self.scaled_mask)
         x = self.iterates[self.current]
-        return self.value(_each_block(lambda i: self.part(i, x[i], out[i]), self.count))
+        return self.value(self.each_block(lambda i: self.part(i, x[i], out[i])))
 
     def value(self, parts):
         """Smooth value from every block's ``part``, and the label residual
@@ -320,7 +308,7 @@ class _State:
 
 def objective(x_hat, obs: PartialMatrix, model: LinearModel, labels, cfg: CompletionConfig) -> float:
     """Full objective value at ``(x_hat, model)``, the value ``fit`` records."""
-    x = _as_matrix(x_hat)
+    x = _check_finite(_as_matrix(x_hat))
     y = _as_labels(labels)
     _check_shapes(x, obs, model, y)
     tr = trace_norm(x) if cfg.lambda1 else 0.0
@@ -379,8 +367,8 @@ def svt(m, tau: float) -> np.ndarray:
 
     This is the exact proximal map of ``tau * ||.||_tr`` at ``m``.
     """
-    a = _as_matrix(m)
-    if tau < 0:
+    a = _check_finite(_as_matrix(m))
+    if not tau >= 0:  # NaN too
         raise ValueError("tau must be nonnegative")
     if tau == 0.0:
         return a.copy()
@@ -412,7 +400,7 @@ def _apg(state, model, cfg, tr_warm, tol):
     # g_curr holds the masked residual of the current iterate over L until
     # the next step turns it into G, once the label residual res is known
     f_curr, res = state.value_now(model, g_curr)
-    l, count, split = state.l, state.count, state.split
+    l, count, split, each_block = state.l, state.count, state.split, state.each_block
     w_row = (2.0 * cfg.lambda2 / l) * model.weights[None, :]
     f_curr = start_f = f_curr + lam1 * tr_warm
     best_f, best_tr = f_curr, tr_warm
@@ -455,7 +443,7 @@ def _apg(state, model, cfg, tr_warm, tol):
             left, right = split(w_row.T), res[None, :]
         else:
             left, right = split(res[:, None]), w_row
-        grams = _each_block(momentum_point, count)
+        grams = each_block(momentum_point)
         if lam1:
             gram = grams[0] if count == 1 else grams[0] + grams[1]
             v_k, coef, sig = _svt_basis(gram, lam1 / l, 1.0 + beta)
@@ -465,7 +453,7 @@ def _apg(state, model, cfg, tr_warm, tol):
         # never the best iterate's buffer
         j = 1 - best
         x_next = state.iterates[j]
-        f_next, res = state.value(_each_block(proximal_step, count))
+        f_next, res = state.value(each_block(proximal_step))
         f_next += lam1 * tr_next
         if not math.isfinite(f_next):
             raise DivergenceError(f"solver diverged: non-finite objective at inner step {k}")
@@ -528,24 +516,32 @@ def fit(obs: PartialMatrix, labels, cfg: CompletionConfig | None = None,
     converged = False
     inner_tol = cfg.tol
 
-    for _ in range(cfg.max_outer):
-        # start_f is the last round's current, bit for bit: both value
-        # (x_hat, model, tr_hat) on the state's blocks
-        x_hat, tr_hat, cand_f, start_f, iters = _apg(state, model, cfg, tr_hat, inner_tol)
-        inner_total += iters
-        ridge = _ridge_term(model, cfg)
-        previous, current = start_f + ridge, cand_f + ridge
+    pool = nullcontext()
+    if state.count == 2:
+        # imported here, as only a large fit needs it: concurrent.futures
+        # loads logging, which costs every process about 6 ms and 1 MB
+        from concurrent.futures import ThreadPoolExecutor
 
-        refit = train_ridge(x_hat, y, cfg.ridge)
-        refit_obj = _solver_objective(state, tr_hat, refit, cfg)
-        if refit_obj <= current:
-            model, current = refit, refit_obj
+        pool = state.pool = ThreadPoolExecutor(1, thread_name_prefix="activemc-apg")
+    with pool:  # the worker ends when fit returns or raises
+        for _ in range(cfg.max_outer):
+            # start_f is the last round's current, bit for bit: both value
+            # (x_hat, model, tr_hat) on the state's blocks
+            x_hat, tr_hat, cand_f, start_f, iters = _apg(state, model, cfg, tr_hat, inner_tol)
+            inner_total += iters
+            ridge = _ridge_term(model, cfg)
+            previous, current = start_f + ridge, cand_f + ridge
 
-        trace.append(current)
-        change = abs(previous - current) / max(abs(previous), 1e-12)
-        if change < cfg.tol:
-            converged = True
-            break
-        inner_tol = max(cfg.tol, _KAPPA * change)
+            refit = train_ridge(x_hat, y, cfg.ridge)
+            refit_obj = _solver_objective(state, tr_hat, refit, cfg)
+            if refit_obj <= current:
+                model, current = refit, refit_obj
+
+            trace.append(current)
+            change = abs(previous - current) / max(abs(previous), 1e-12)
+            if change < cfg.tol:
+                converged = True
+                break
+            inner_tol = max(cfg.tol, _KAPPA * change)
 
     return CompletionResult(x_hat, model, trace, inner_total, converged)

@@ -51,7 +51,7 @@ def train_ridge(x, labels, ridge: float = 0.0) -> LinearModel:
         raise ValueError("need at least one training row")
     if y.shape[0] != n:
         raise DimensionMismatchError("labels length does not match feature rows")
-    if ridge < 0:
+    if not ridge >= 0:  # NaN too
         raise ValueError("ridge must be nonnegative")
 
     # the Gram matrix and right-hand side of the system augmented with a

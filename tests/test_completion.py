@@ -1,10 +1,9 @@
 import dataclasses
 import multiprocessing
-import os
 import sys
+import threading
 import time
 import tracemalloc
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -174,6 +173,15 @@ class TestObjective:
         with pytest.raises(DimensionMismatchError):
             objective(np.zeros((3, 2)), obs, zero_model(2), np.array([1, -1]), CompletionConfig())
 
+    @pytest.mark.parametrize("lambda1", [0.0, 1.0])
+    def test_non_finite_candidate_is_named(self, lambda1):
+        obs = PartialMatrix(np.zeros((3, 2)), np.ones((3, 2), bool))
+        x = np.zeros((3, 2))
+        x[1, 0] = np.nan
+        cfg = CompletionConfig(lambda1=lambda1)
+        with pytest.raises(NumericError, match=r"^non-finite value for entry \(1, 0\)$"):
+            objective(x, obs, zero_model(2), np.array([1, -1, 1]), cfg)
+
     def test_model_width_mismatch(self):
         obs = PartialMatrix(np.zeros((2, 2)), np.zeros((2, 2), bool))
         with pytest.raises(DimensionMismatchError,
@@ -260,6 +268,17 @@ class TestSvt:
     def test_negative_tau_rejected(self):
         with pytest.raises(ValueError):
             svt(np.eye(2), -0.5)
+
+    def test_nan_tau_rejected(self):
+        with pytest.raises(ValueError, match="^tau must be nonnegative$"):
+            svt(np.eye(2), float("nan"))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_entry_is_named(self, value):
+        m = np.eye(3)
+        m[2, 1] = value
+        with pytest.raises(NumericError, match=r"^non-finite value for entry \(2, 1\)$"):
+            svt(m, 0.5)
 
     def test_prox_optimality_under_perturbation(self):
         # svt minimizes tau*||W||_tr + 0.5*||W - m||_F^2
@@ -1013,13 +1032,31 @@ class TestTwoBlocks:
         np.testing.assert_array_equal(first.x_hat, second.x_hat)
         assert first.objective_trace == second.objective_trace
 
+    def state_with(self, pool):
+        """A two-block state whose ``each_block`` runs on ``pool``."""
+        obs, y = self.instance(800, 100)
+        state = completion._State(obs, _as_labels(y), 1.0, obs.values)
+        assert state.count == 2
+        state.pool = pool
+        return state
+
     def test_worker_starts_only_at_the_split_size(self, monkeypatch):
-        monkeypatch.setattr(completion, "_worker", None)
+        # each fit's worker lives while the fit runs and ends when it returns
+        counts = []
+        svt_basis = completion._svt_basis
+
+        def counting(*args):
+            counts.append(threading.active_count())
+            return svt_basis(*args)
+
+        monkeypatch.setattr(completion, "_svt_basis", counting)
         cfg = CompletionConfig(max_outer=1, max_inner=5)
-        fit(*self.instance(100, 20), cfg)
-        assert completion._worker is None
-        fit(*self.instance(800, 100), cfg)
-        assert completion._worker[0] == os.getpid()
+        before = threading.active_count()
+        for shape, during in [((100, 20), before), ((800, 100), before + 1)]:
+            counts.clear()
+            fit(*self.instance(*shape), cfg)
+            assert counts and set(counts) == {during}, shape
+            assert threading.active_count() == before, shape
 
     def test_overflowing_step_is_a_divergence(self, capfd):
         # TestFit's case at the split size: both halves' Gram sums overflow,
@@ -1029,9 +1066,14 @@ class TestTwoBlocks:
         mask[0, 0] = False
         assert len(completion._blocks(x.shape)) == 2
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-                DivergenceError, match="^solver diverged: non-finite objective at inner step 0$"):
+                DivergenceError,
+                match="^solver diverged: non-finite objective at inner step 0$") as raised:
             fit(PartialMatrix(x, mask), np.where(np.arange(100) % 2, -1, 1))
         assert capfd.readouterr().err == ""
+        # the worker ended with the fit that raised: not by collection, as
+        # the traceback still holds the fit's frame and its state
+        assert raised.traceback
+        assert not [t for t in threading.enumerate() if t.name.startswith("activemc-apg")]
 
     def test_worker_runs_under_the_callers_error_state(self):
         seen = {}
@@ -1039,9 +1081,10 @@ class TestTwoBlocks:
         def block(i):
             seen[i] = np.geterr()
 
-        with np.errstate(divide="raise", over="ignore", under="warn", invalid="print"):
+        with ThreadPoolExecutor(1) as pool, \
+                np.errstate(divide="raise", over="ignore", under="warn", invalid="print"):
             expected = np.geterr()
-            completion._each_block(block, 2)
+            self.state_with(pool).each_block(block)
         assert expected != np.geterr()  # a state other than the default
         assert seen == {0: expected, 1: expected}
 
@@ -1057,22 +1100,21 @@ class TestTwoBlocks:
             if i == failing:
                 raise ValueError(f"block {i}")
 
-        with pytest.raises(ValueError, match=f"^block {failing}$"):
-            completion._each_block(block, 2)
+        with ThreadPoolExecutor(1) as pool, pytest.raises(ValueError, match=f"^block {failing}$"):
+            self.state_with(pool).each_block(block)
         assert sorted(ended) == [0, 1]
 
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                         reason="no fork on this platform")
     def test_forked_child_fits_after_the_parent(self):
-        # the parent's worker thread is not copied into a forked child
+        # the fit's worker has ended, so the fork copies a single-threaded
+        # process; Python 3.12 would warn, an error here, if it had not
         obs, y = self.instance(800, 100)
         cfg = CompletionConfig(max_outer=1, max_inner=5)
         fit(obs, y, cfg)
+        assert threading.active_count() == 1
         child = multiprocessing.get_context("fork").Process(target=fit, args=(obs, y, cfg))
-        with warnings.catch_warnings():
-            # Python 3.12 warns that forking a process with threads may deadlock
-            warnings.simplefilter("ignore", DeprecationWarning)
-            child.start()
+        child.start()
         child.join(timeout=60)
         hung = child.is_alive()
         if hung:
@@ -1081,7 +1123,7 @@ class TestTwoBlocks:
         assert not hung, "the forked child's fit did not finish within 60 s"
         assert child.exitcode == 0
 
-    def test_concurrent_callers_share_the_worker(self):
+    def test_concurrent_callers_each_own_a_worker(self):
         # more calling threads than cores, switching often; each fit's
         # halves write only their own arrays
         obs, y = self.instance(800, 100)

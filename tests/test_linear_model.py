@@ -73,7 +73,9 @@ class TestTrainRidge:
         (np.eye(2), np.array([1, -1, 1]), 0.0, DimensionMismatchError,
          "labels length does not match feature rows"),
         (np.eye(2), np.array([1, -1]), -0.5, ValueError, "ridge must be nonnegative"),
-    ], ids=["no-rows", "length-mismatch", "negative-ridge"])
+        # not the features: a NaN ridge makes the Gram non-finite
+        (11 * np.eye(2), np.array([1, -1]), float("nan"), ValueError, "ridge must be nonnegative"),
+    ], ids=["no-rows", "length-mismatch", "negative-ridge", "nan-ridge"])
     def test_inputs_checked(self, x, labels, ridge, error, message):
         with pytest.raises(error, match=f"^{message}$"):
             train_ridge(x, labels, ridge)
