@@ -19,7 +19,7 @@ does not raise the objective, so the recorded objective can never increase.
 
 ``fit`` is the solver's one entry point; ``objective``, ``grad_g`` and
 ``svt`` (the trace norm's proximal map) are the public references its
-fused inner loop is checked against.
+fused inner loop is checked against, each computed from its formula.
 
 The inner loop stops once the objective's relative change falls below its
 tolerance. The first round's tolerance is ``tol``; each later round's is
@@ -57,11 +57,9 @@ over the carried steps, with the factor ``1 + beta`` handed to SVT as its
 scale, and none on the two momentum-free steps. ``fit`` builds the solver's
 state once for all rounds: the row blocks, the split values and mask, the
 mask over ``L`` (rewritten in place when the model changes), the carried
-steps, the momentum point's scratch and two iterate buffers. ``objective``
-builds the same state for one value of its start; ``fit`` adds to it what
-that value does not use. The start is copied into one buffer, so the
-current matrix is always one of the two; a new iterate goes into the one
-not holding the best iterate.
+steps, the momentum point's scratch and two iterate buffers. The start
+is copied into one buffer, so the current matrix is always one of the
+two; a new iterate goes into the one not holding the best iterate.
 
 A matrix of at least ``_SPLIT_CELLS`` cells runs the inner step's
 row-separable passes on two fixed halves of its long side (the rows, or a
@@ -69,18 +67,18 @@ wide matrix's columns): the momentum point's two passes with the half's
 partial Gram matrix, summed for SVT, then the rank-``k`` rebuild with the
 half's share of the next value. Each such ``fit`` makes one worker thread,
 ended when the fit returns or raises, to run the second half while the
-caller runs the first; ``objective`` runs both in the caller. The small
-eigendecomposition, the sums of the partial results and the best-iterate
-and stop logic stay with the caller, so a step synchronises twice. The
-split depends on the shape alone, never on the CPU count, and below the
-crossover the same code runs one block inline and starts no thread. The
-worker sets the caller's ``np.errstate``, read with ``np.geterr()``, around
-its half, as neither numpy 2's context variable nor numpy 1's per-thread
-state crosses to another thread. Every value of the smooth part, the
-inner loop's and the outer objective's, is summed from the same blocks in
-the same order, so the two agree bit for bit. An iterate's ``G`` is
-completed at the start of the next step, once the label residual ``x @ w``
-is summed: a column half of a wide matrix holds only part of it.
+caller runs the first. The small eigendecomposition, the sums of the
+partial results and the best-iterate and stop logic stay with the caller,
+so a step synchronises twice. The split depends on the shape alone, never
+on the CPU count, and below the crossover the same code runs one block
+inline and starts no thread. The worker sets the caller's ``np.errstate``,
+read with ``np.geterr()``, around its half, as neither numpy 2's context
+variable nor numpy 1's per-thread state crosses to another thread. Every
+value of the smooth part, the inner loop's and the refit's, is summed from
+the same blocks in the same order, so the two agree bit for bit. An
+iterate's ``G`` is completed at the start of the next step, once the label
+residual ``x @ w`` is summed: a column half of a wide matrix holds only
+part of it.
 """
 
 from __future__ import annotations
@@ -215,9 +213,7 @@ class _State:
     Its arrays are C-ordered tall views, held split into ``count`` row
     blocks: np.dot and np.matmul write only into a C-ordered out, and a wide
     matrix goes back transposed, as SVT hands a wide matrix back.
-    ``current`` indexes the buffer that holds the current matrix. Built, it
-    holds what one value of the start needs: the mask over L, one buffer
-    and one work array; ``add_apg_arrays`` adds the rest of ``_apg``'s.
+    ``current`` indexes the buffer that holds the current matrix.
     """
 
     def __init__(self, obs, y, lambda2, start):
@@ -231,17 +227,9 @@ class _State:
         shape = self.mask.shape
         self.scaled_mask = np.empty(shape)
         self.mask_l = self.split(self.scaled_mask)
-        self.work = (self.split(np.empty(shape)),)
-        self.buffers = (self.tall(start).copy(order="C"),)
-        self.iterates = (self.split(self.buffers[0]),)
-
-    def add_apg_arrays(self):
-        """Add what ``_apg`` uses beyond one value: two more work arrays and
-        the second iterate buffer."""
-        shape = self.mask.shape
-        self.work += tuple(self.split(np.empty(shape)) for _ in range(2))
-        self.buffers += (np.empty(shape),)
-        self.iterates += (self.split(self.buffers[1]),)
+        self.work = tuple(self.split(np.empty(shape)) for _ in range(3))
+        self.buffers = (self.tall(start).copy(order="C"), np.empty(shape))
+        self.iterates = tuple(self.split(b) for b in self.buffers)
 
     def tall(self, a):
         return a.T if self.wide else a
@@ -255,11 +243,9 @@ class _State:
 
     def each_block(self, fn) -> list:
         """``[fn(i) for i in range(self.count)]``; block 1 runs on the
-        ``pool`` that ``fit`` sets, if any, while the caller runs block 0."""
+        ``pool`` that ``fit`` sets while the caller runs block 0."""
         if self.count == 1:
             return [fn(0)]
-        if self.pool is None:
-            return [fn(0), fn(1)]
         future = self.pool.submit(np.errstate(**np.geterr())(fn), 1)
         try:
             first = fn(0)
@@ -307,12 +293,20 @@ class _State:
 
 
 def objective(x_hat, obs: PartialMatrix, model: LinearModel, labels, cfg: CompletionConfig) -> float:
-    """Full objective value at ``(x_hat, model)``, the value ``fit`` records."""
+    """Full objective value at ``(x_hat, model)``, from the module docstring's
+    formula term by term; ``fit`` records the same value, summed its own way."""
     x = _check_finite(_as_matrix(x_hat))
     y = _as_labels(labels)
     _check_shapes(x, obs, model, y)
-    tr = trace_norm(x) if cfg.lambda1 else 0.0
-    return _solver_objective(_State(obs, y, cfg.lambda2, x), tr, model, cfg)
+    # the trace norm first: SVD's copy of x is not held beside the residual
+    value = cfg.lambda1 * trace_norm(x) if cfg.lambda1 else 0.0
+    res = x - obs.values
+    res *= obs.mask
+    value += 0.5 * float(np.vdot(res, res))
+    if cfg.lambda2:
+        res = x @ model.weights + model.bias - y
+        value += cfg.lambda2 * float(res @ res) + _ridge_term(model, cfg)
+    return value
 
 
 def grad_g(z, obs: PartialMatrix, model: LinearModel, labels, lambda2: float) -> np.ndarray:
@@ -353,15 +347,6 @@ def _svt_basis(gram: np.ndarray, tau: float,
     return v_k, scale * (sigma_k - tau) / sigma_k, np.maximum(sigma[::-1] - tau, 0.0)
 
 
-def _svt_with_sigma(m: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
-    """SVT of ``m`` and its shrunk singular values, largest first."""
-    wide = m.shape[0] < m.shape[1]
-    a = m.T if wide else m  # the tall side
-    v_k, coef, shrunk = _svt_basis(a.T @ a, tau, 1.0)
-    out = ((a @ v_k) * coef) @ v_k.T
-    return (out.T if wide else out), shrunk
-
-
 def svt(m, tau: float) -> np.ndarray:
     """Singular value thresholding: shrink every singular value by ``tau``.
 
@@ -372,8 +357,11 @@ def svt(m, tau: float) -> np.ndarray:
         raise ValueError("tau must be nonnegative")
     if tau == 0.0:
         return a.copy()
-    out, _ = _svt_with_sigma(a, tau)
-    return out
+    wide = a.shape[0] < a.shape[1]
+    t = a.T if wide else a  # the tall side
+    v_k, coef, _ = _svt_basis(t.T @ t, tau, 1.0)
+    out = ((t @ v_k) * coef) @ v_k.T
+    return out.T if wide else out
 
 
 def _apg(state, model, cfg, tr_warm, tol):
@@ -508,7 +496,6 @@ def fit(obs: PartialMatrix, labels, cfg: CompletionConfig | None = None,
     # refit keeps x_hat), taken before the state: SVD's copy is not held beside it
     tr_hat = trace_norm(start) if cfg.lambda1 else 0.0
     state = _State(obs, y, cfg.lambda2, start)  # for every round: see the module docstring
-    state.add_apg_arrays()
     model = train_ridge(state.x_hat(), y, cfg.ridge)
 
     trace: list[float] = []

@@ -53,6 +53,8 @@ def train_ridge(x, labels, ridge: float = 0.0) -> LinearModel:
         raise DimensionMismatchError("labels length does not match feature rows")
     if not ridge >= 0:  # NaN too
         raise ValueError("ridge must be nonnegative")
+    if ridge == np.inf:
+        raise ValueError(f"ridge must be finite, got {ridge!r}")
 
     # the Gram matrix and right-hand side of the system augmented with a
     # column of ones, built blockwise rather than from a stacked copy

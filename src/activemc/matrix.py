@@ -64,7 +64,11 @@ class PartialMatrix:
         return self.values.shape
 
     def observe(self, row: int, col: int, value: float) -> None:
-        """Reveal one cell. Raises if the cell is already observed."""
+        """Reveal one cell. Raises if the cell is outside the grid or already observed."""
+        n, d = self.values.shape
+        # a negative index would reveal a cell counted from the end
+        if not (0 <= row < n and 0 <= col < d):
+            raise IndexError(f"entry ({row}, {col}) is outside the {n}x{d} grid")
         if self.mask[row, col]:
             raise ValueError(f"entry ({row}, {col}) is already observed")
         if not np.isfinite(value):

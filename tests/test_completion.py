@@ -5,6 +5,7 @@ import threading
 import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from hypothesis import strategies as st
 from activemc import completion
 from activemc.completion import (
     CompletionConfig,
-    _svt_with_sigma,
     fit,
     grad_g,
     objective,
@@ -53,13 +53,29 @@ def assert_rel_close(actual, desired, rtol):
     assert np.linalg.norm(np.asarray(actual) - desired) <= rtol * scale
 
 
+def svt_spectrum(m, tau):
+    """The shrunk singular values of ``svt(m, tau)``, largest first, from the
+    Gram matrix of ``m``'s tall side, as the solver reads them."""
+    tall = m.T if m.shape[0] < m.shape[1] else m
+    return completion._svt_basis(tall.T @ tall, tau, 1.0)[2]
+
+
+@contextmanager
+def solver_state(obs, y, lambda2, start):
+    """``fit``'s solver state at ``start``. A two-block state runs its second
+    block on a worker that ends with the ``with``; a one-block state starts none."""
+    with ThreadPoolExecutor(1) as pool:
+        state = completion._State(obs, _as_labels(y), lambda2, start)
+        state.pool = pool
+        yield state
+
+
 def solve(obs, model, y, cfg, warm):
     """One inner solve at ``cfg.tol``: (best x, objective without the ridge term, steps)."""
     warm = np.asarray(warm, dtype=float)
     tr_warm = trace_norm(warm) if cfg.lambda1 else 0.0
-    state = completion._State(obs, _as_labels(y), cfg.lambda2, warm)
-    state.add_apg_arrays()
-    best_x, _, best_f, _, steps = completion._apg(state, model, cfg, tr_warm, cfg.tol)
+    with solver_state(obs, y, cfg.lambda2, warm) as state:
+        best_x, _, best_f, _, steps = completion._apg(state, model, cfg, tr_warm, cfg.tol)
     return best_x, best_f, steps
 
 
@@ -312,10 +328,9 @@ class TestSvtProperties:
         tau = frac * sigma_1
         size = np.linalg.norm(a)
         ref, ref_shrunk = svt_reference(a, tau)
-        out, shrunk = _svt_with_sigma(a, tau)
+        out, shrunk = svt(a, tau), svt_spectrum(a, tau)
         assert out.shape == a.shape
         assert np.linalg.norm(out - ref) <= 1e-9 * size
-        assert np.linalg.norm(svt(a, tau) - ref) <= 1e-9 * size
         np.testing.assert_allclose(shrunk, ref_shrunk, rtol=0, atol=1e-9 * size)
         assert abs(shrunk.sum() - trace_norm(out)) <= 1e-9 * size
         if frac >= 1.001:  # tau clear above sigma_1 leaves nothing
@@ -349,7 +364,7 @@ class TestSvtProperties:
         a = (u * np.logspace(0, -9, 40)) @ v.T
         a = a.T if transpose else a
         tau = 1e-6
-        out, shrunk = _svt_with_sigma(a, tau)
+        out, shrunk = svt(a, tau), svt_spectrum(a, tau)
         ref, ref_shrunk = svt_reference(a, tau)
         assert_rel_close(out, ref, 1e-9)
         np.testing.assert_allclose(shrunk, ref_shrunk, rtol=0, atol=1e-9)
@@ -477,29 +492,29 @@ class TestApgMinimize:
             for seed in range(10):
                 _, obs, y, model = random_instance(np.random.default_rng(seed), n=n, d=d)
                 warm = np.zeros(obs.shape)
-                state = completion._State(obs, _as_labels(y), cfg.lambda2, warm)
-                state.add_apg_arrays()
-                best_x, _, best_f, _, _ = completion._apg(state, model, cfg, 0.0, cfg.tol)
-                np.testing.assert_array_equal(best_x, warm)
-                # the refit's value, on the state the inner loop left
-                outer = completion._solver_objective(state, 0.0, model, cfg)
+                with solver_state(obs, y, cfg.lambda2, warm) as state:
+                    best_x, _, best_f, _, _ = completion._apg(state, model, cfg, 0.0, cfg.tol)
+                    np.testing.assert_array_equal(best_x, warm)
+                    # the refit's value, on the state the inner loop left
+                    outer = completion._solver_objective(state, 0.0, model, cfg)
                 assert best_f + completion._ridge_term(model, cfg) == outer, (n, d, seed)
 
     def test_public_objective_is_the_solver_value(self):
-        # fit's state, with _apg's arrays; objective builds it without them
+        # objective sums the formula's terms, the solver its blocks' scaled
+        # residuals: the two agree up to rounding
         cfg = CompletionConfig(lambda1=0.5, lambda2=1.0)
         # one block, wide, then two
         for n, d in [(30, 8), (8, 30), (800, 100)]:
             for seed in range(3):
                 x, obs, y, model = random_instance(np.random.default_rng(seed), n=n, d=d)
-                state = completion._State(obs, _as_labels(y), cfg.lambda2, x)
-                state.add_apg_arrays()
-                expected = completion._solver_objective(state, trace_norm(x), model, cfg)
-                assert objective(x, obs, model, y, cfg) == expected, (n, d, seed)
+                with solver_state(obs, y, cfg.lambda2, x) as state:
+                    expected = completion._solver_objective(state, trace_norm(x), model, cfg)
+                value = objective(x, obs, model, y, cfg)
+                assert value == pytest.approx(expected, rel=1e-12, abs=0), (n, d, seed)
 
     @pytest.mark.parametrize("shape", [(1000, 80), (2000, 100)])
-    def test_public_objective_peak_is_three_matrices(self, shape):
-        # the mask over L, the copy of the point and one scratch array
+    def test_public_objective_peak_is_one_residual(self, shape):
+        # the masked data residual, and briefly the finiteness check's bools
         rng = np.random.default_rng(11)
         x, y, _ = labeled_lowrank(*shape, 5, rng)
         obs, _ = masked_problem(x, init_mask(x.shape, 0.6, 11), True)
@@ -511,7 +526,7 @@ class TestApgMinimize:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3.5 * x.nbytes, f"peak {peak / x.nbytes:.2f}x the matrix"
+        assert peak <= 1.5 * x.nbytes, f"peak {peak / x.nbytes:.2f}x the matrix"
 
     @pytest.mark.parametrize("lambda2", [1.0, 0.0])
     def test_traced_peak_is_a_few_matrices(self, lambda2):
@@ -527,9 +542,8 @@ class TestApgMinimize:
         tracemalloc.start()
         try:
             # the state copies the start into one of its buffers
-            state = completion._State(obs, _as_labels(y), cfg.lambda2, obs.values)
-            state.add_apg_arrays()
-            *_, steps = completion._apg(state, model, cfg, tr_warm, 0.0)
+            with solver_state(obs, y, cfg.lambda2, obs.values) as state:
+                *_, steps = completion._apg(state, model, cfg, tr_warm, 0.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -75,7 +75,9 @@ class TestTrainRidge:
         (np.eye(2), np.array([1, -1]), -0.5, ValueError, "ridge must be nonnegative"),
         # not the features: a NaN ridge makes the Gram non-finite
         (11 * np.eye(2), np.array([1, -1]), float("nan"), ValueError, "ridge must be nonnegative"),
-    ], ids=["no-rows", "length-mismatch", "negative-ridge", "nan-ridge"])
+        # and an infinite one makes it overflow
+        (11 * np.eye(2), np.array([1, -1]), float("inf"), ValueError, "ridge must be finite, got inf"),
+    ], ids=["no-rows", "length-mismatch", "negative-ridge", "nan-ridge", "inf-ridge"])
     def test_inputs_checked(self, x, labels, ridge, error, message):
         with pytest.raises(error, match=f"^{message}$"):
             train_ridge(x, labels, ridge)

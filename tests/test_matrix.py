@@ -101,6 +101,16 @@ class TestPartialMatrix:
         with pytest.raises(DimensionMismatchError, match=r"^expected a 2-d matrix, got shape \(3,\)$"):
             PartialMatrix(np.ones(3), np.ones(3, bool))
 
+    @pytest.mark.parametrize(
+        "row, col", [(-1, 0), (0, -1), (2, 0), (0, 3), (np.int64(-2), np.int64(1))],
+        ids=["row-1", "col-1", "row-past", "col-past", "numpy-row-2"])
+    def test_observe_rejects_a_cell_outside_the_grid(self, row, col):
+        # a negative index would otherwise reveal a cell counted from the end
+        pm = PartialMatrix(np.zeros((2, 3)), np.zeros((2, 3), bool))
+        with pytest.raises(IndexError, match=rf"^entry \({row}, {col}\) is outside the 2x3 grid$"):
+            pm.observe(row, col, 1.0)
+        assert not pm.mask.any() and not pm.values.any()
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_observe_rejects_a_non_finite_value(self, bad):
         pm = PartialMatrix(np.zeros((2, 2)), np.zeros((2, 2), bool))
