@@ -21,20 +21,15 @@ does not raise the objective, so the recorded objective can never increase.
 ``svt`` (the trace norm's proximal map) are the public references its
 fused inner loop is checked against, each computed from its formula.
 
-The inner loop stops once the objective's relative change falls below its
-tolerance. The first round's tolerance is ``tol``; each later round's is
-``max(tol, _KAPPA * change)``, where ``change`` is the previous round's
-relative objective change, the value the outer stop tests. So a block
-subproblem is solved no more finely than the alternation is moving
-(inexact block minimization: Xu & Yin 2013; Bolte, Sabach & Teboulle
-2014), and once rounds creep the tolerance is back at ``tol``. The
-FISTA sequence ``theta`` starts at 1 from each warm start, so the first
-two steps carry no momentum: each is a plain proximal step at ``1 / L``,
-which lowers the objective ``F`` by at least ``(L / 2) * ||x+ - x||^2``
-(Beck & Teboulle 2009). A relative change below a tolerance ``t`` there
-caps the gradient mapping, ``||L * (x - x+)|| <= sqrt(2 * L * t * |F|)``,
-so either step may stop the loop. Momentum steps do not decrease ``F``
-monotonically, and stop only after ``_MIN_INNER_STEPS``.
+The inner loop stops at the first step whose relative objective change
+falls below its tolerance, or after ``max_inner`` steps. The first round's
+tolerance is ``tol``; each later round's is ``max(tol, _KAPPA * change)``,
+where ``change`` is the previous round's relative objective change, the
+value the outer stop tests. So a block subproblem is solved no more finely
+than the alternation is moving (inexact block minimization: Xu & Yin 2013;
+Bolte, Sabach & Teboulle 2014), and once rounds creep the tolerance is back
+at ``tol``. The FISTA sequence ``theta`` starts at 1 from each warm start,
+so the first two steps carry no momentum.
 
 SVT works on the small side of the matrix: for an ``n x d`` matrix with
 ``n >= d`` (a wide one is transposed in and out) it takes the
@@ -93,12 +88,6 @@ from .errors import DimensionMismatchError, DivergenceError
 from .linear_model import LinearModel, _as_labels, train_ridge
 from .matrix import PartialMatrix, _as_matrix, _check_finite, trace_norm
 
-# The two momentum-free steps from each warm start may stop the inner loop
-# on tolerance: a plain proximal step's decrease caps the gradient mapping.
-# Momentum steps are not monotone and need a few steps before the
-# objective-change signal means anything, so past those two the loop never
-# stops on tolerance before this many steps.
-_MIN_INNER_STEPS = 10
 # each round after the first solves its matrix block to within this fraction
 # of the previous round's relative objective change (never below cfg.tol)
 _KAPPA = 1e-3
@@ -392,7 +381,7 @@ def _apg(state, model, cfg, tr_warm, tol):
     w_row = (2.0 * cfg.lambda2 / l) * model.weights[None, :]
     f_curr = start_f = f_curr + lam1 * tr_warm
     best_f, best_tr = f_curr, tr_warm
-    # at theta = 1, steps 0 and 1 carry no momentum: see _MIN_INNER_STEPS
+    # theta restarts at 1, so steps 0 and 1 carry no momentum
     theta_curr = theta_prev = 1.0
 
     def momentum_point(i):
@@ -454,8 +443,7 @@ def _apg(state, model, cfg, tr_warm, tol):
             best_f, best, best_tr = f_next, j, tr_next
         rel = abs(f_curr - f_next) / max(abs(f_curr), 1e-12)
         f_curr = f_next
-        # beta == 0 on steps 0 and 1: see _MIN_INNER_STEPS
-        if rel < tol and (beta == 0.0 or k + 1 >= _MIN_INNER_STEPS):
+        if rel < tol:
             break
 
     state.current = best

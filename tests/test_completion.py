@@ -82,11 +82,13 @@ def solve(obs, model, y, cfg, warm):
 def reference_apg(obs, model, y, cfg, warm, tr_warm, tol):
     """``completion._apg`` from the textbook recursion: the momentum point
     formed, the public ``grad_g``, a full-SVD SVT and every objective from
-    scratch, with the same stop rule and the same return values."""
+    scratch, with the same stop rule and the same return values, then the
+    objective of ``warm`` and of every step's iterate."""
     lip = 1.0 + 2.0 * cfg.lambda2 * float(model.weights @ model.weights)
     ridge = completion._ridge_term(model, cfg)
     x_prev = x_curr = best_x = warm
     f_curr = best_f = start_f = objective(warm, obs, model, y, cfg) - ridge
+    values = [start_f]
     theta_prev = theta = 1.0
     for k in range(cfg.max_inner):
         beta = theta * (1.0 / theta_prev - 1.0)
@@ -95,13 +97,14 @@ def reference_apg(obs, model, y, cfg, warm, tr_warm, tol):
         x_prev, x_curr = x_curr, svt_reference(step, cfg.lambda1 / lip)[0]
         theta_prev, theta = theta, 0.5 * (np.sqrt(theta**4 + 4 * theta**2) - theta**2)
         f_next = objective(x_curr, obs, model, y, cfg) - ridge
+        values.append(f_next)
         if f_next < best_f:
             best_x, best_f = x_curr, f_next
         rel = abs(f_curr - f_next) / max(abs(f_curr), 1e-12)
         f_curr = f_next
-        if rel < tol and (beta == 0.0 or k + 1 >= completion._MIN_INNER_STEPS):
+        if rel < tol:
             break
-    return best_x, trace_norm(best_x) if cfg.lambda1 else 0.0, best_f, start_f, k + 1
+    return best_x, trace_norm(best_x) if cfg.lambda1 else 0.0, best_f, start_f, k + 1, values
 
 
 def use_reference_apg(monkeypatch, obs):
@@ -109,7 +112,7 @@ def use_reference_apg(monkeypatch, obs):
     ``reference_apg``, whose answer goes into the state's other buffer and
     becomes its current matrix, as ``completion._apg`` leaves it."""
     def apg(state, model, cfg, tr_warm, tol):
-        best_x, *rest = reference_apg(obs, model, state.y, cfg, state.x_hat(), tr_warm, tol)
+        best_x, *rest, _ = reference_apg(obs, model, state.y, cfg, state.x_hat(), tr_warm, tol)
         state.current = 1 - state.current
         np.copyto(state.x_hat(), best_x)
         return (state.x_hat(), *rest)
@@ -661,7 +664,7 @@ class TestStopRule:
            lambda2=st.sampled_from([0.0, 1.0]), max_inner=st.integers(1, 25),
            tol=st.sampled_from([1e-2, 1e-4, 1e-6]), restart=st.booleans())
     @settings(max_examples=100, deadline=None)
-    def test_stops_on_a_momentum_free_step_or_after_the_minimum(
+    def test_stops_at_the_first_step_below_tol(
             self, seed, lambda1, lambda2, max_inner, tol, restart):
         rng = np.random.default_rng(seed)
         _, obs, y, model = random_instance(rng)
@@ -670,15 +673,11 @@ class TestStopRule:
         if restart:
             warm, _, _ = solve(obs, model, y, cfg, warm)
         _, _, steps = solve(obs, model, y, cfg, warm)
-        # step indices 0 and 1, the minimum, or max_inner (never below the minimum)
-        assert steps <= 2 or steps >= min(completion._MIN_INNER_STEPS, max_inner)
-        if steps >= 2 and max_inner > 2:
-            # step 1 stops the loop exactly when its relative change is below tol.
-            # Steps 0 and 1 carry no momentum, so they descend, and solves capped
-            # at one and two steps return their objectives as the best seen.
-            f0 = solve(obs, model, y, dataclasses.replace(cfg, max_inner=1), warm)[1]
-            f1 = solve(obs, model, y, dataclasses.replace(cfg, max_inner=2), warm)[1]
-            assert (steps == 2) == (abs(f0 - f1) / max(abs(f0), 1e-12) < tol)
+        # every step's objective, momentum steps' too; at tol 0 the reference never stops
+        *_, values = reference_apg(obs, model, y, cfg, warm, 0.0, 0.0)
+        below = [k + 1 for k in range(max_inner)
+                 if abs(values[k] - values[k + 1]) / max(abs(values[k]), 1e-12) < tol]
+        assert steps == (below[0] if below else max_inner)
 
 
 class TestFit:
