@@ -60,9 +60,9 @@ A matrix of at least ``_SPLIT_CELLS`` cells runs the inner step's
 row-separable passes on two fixed halves of its long side (the rows, or a
 wide matrix's columns): the momentum point's two passes with the half's
 partial Gram matrix, summed for SVT, then the rank-``k`` rebuild with the
-half's share of the next value. Each such ``fit`` makes one worker thread,
-ended when the fit returns or raises, to run the second half while the
-caller runs the first. The small eigendecomposition, the sums of the
+half's share of the next value. Such a state makes one worker thread, to
+run the second half while the caller runs the first, and ``fit`` ends it
+when it returns or raises. The small eigendecomposition, the sums of the
 partial results and the best-iterate and stop logic stay with the caller,
 so a step synchronises twice. The split depends on the shape alone, never
 on the CPU count, and below the crossover the same code runs one block
@@ -202,7 +202,9 @@ class _State:
     Its arrays are C-ordered tall views, held split into ``count`` row
     blocks: np.dot and np.matmul write only into a C-ordered out, and a wide
     matrix goes back transposed, as SVT hands a wide matrix back.
-    ``current`` indexes the buffer that holds the current matrix.
+    ``current`` indexes the buffer that holds the current matrix. ``pool``
+    is a two-block state's worker, or a ``nullcontext`` for one block; run
+    the state inside ``with state.pool``, which ends the worker.
     """
 
     def __init__(self, obs, y, lambda2, start):
@@ -210,7 +212,6 @@ class _State:
         self.blocks = _blocks(obs.shape)
         self.count = len(self.blocks)
         self.y, self.lambda2, self.model, self.current = y, lambda2, None, 0
-        self.pool = None
         self.mask = self.tall(obs.mask)
         self.values = self.split(self.tall(obs.values))
         shape = self.mask.shape
@@ -219,6 +220,15 @@ class _State:
         self.work = tuple(self.split(np.empty(shape)) for _ in range(3))
         self.buffers = (self.tall(start).copy(order="C"), np.empty(shape))
         self.iterates = tuple(self.split(b) for b in self.buffers)
+        if self.count == 1:
+            self.pool = nullcontext()
+        else:
+            # imported here, as only a large fit needs it: concurrent.futures
+            # loads logging, which costs every process about 6 ms and 1 MB
+            from concurrent.futures import ThreadPoolExecutor
+
+            # its thread starts at the first submit
+            self.pool = ThreadPoolExecutor(1, thread_name_prefix="activemc-apg")
 
     def tall(self, a):
         return a.T if self.wide else a
@@ -232,7 +242,7 @@ class _State:
 
     def each_block(self, fn) -> list:
         """``[fn(i) for i in range(self.count)]``; block 1 runs on the
-        ``pool`` that ``fit`` sets while the caller runs block 0."""
+        ``pool`` while the caller runs block 0."""
         if self.count == 1:
             return [fn(0)]
         future = self.pool.submit(np.errstate(**np.geterr())(fn), 1)
@@ -484,21 +494,13 @@ def fit(obs: PartialMatrix, labels, cfg: CompletionConfig | None = None,
     # refit keeps x_hat), taken before the state: SVD's copy is not held beside it
     tr_hat = trace_norm(start) if cfg.lambda1 else 0.0
     state = _State(obs, y, cfg.lambda2, start)  # for every round: see the module docstring
-    model = train_ridge(state.x_hat(), y, cfg.ridge)
-
     trace: list[float] = []
     inner_total = 0
     converged = False
     inner_tol = cfg.tol
 
-    pool = nullcontext()
-    if state.count == 2:
-        # imported here, as only a large fit needs it: concurrent.futures
-        # loads logging, which costs every process about 6 ms and 1 MB
-        from concurrent.futures import ThreadPoolExecutor
-
-        pool = state.pool = ThreadPoolExecutor(1, thread_name_prefix="activemc-apg")
-    with pool:  # the worker ends when fit returns or raises
+    with state.pool:  # the worker, if any, ends when fit returns or raises
+        model = train_ridge(state.x_hat(), y, cfg.ridge)
         for _ in range(cfg.max_outer):
             # start_f is the last round's current, bit for bit: both value
             # (x_hat, model, tr_hat) on the state's blocks

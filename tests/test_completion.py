@@ -62,11 +62,10 @@ def svt_spectrum(m, tau):
 
 @contextmanager
 def solver_state(obs, y, lambda2, start):
-    """``fit``'s solver state at ``start``. A two-block state runs its second
-    block on a worker that ends with the ``with``; a one-block state starts none."""
-    with ThreadPoolExecutor(1) as pool:
-        state = completion._State(obs, _as_labels(y), lambda2, start)
-        state.pool = pool
+    """``fit``'s solver state at ``start``, run inside ``with state.pool`` as
+    ``fit`` runs it: a two-block state's worker ends with the ``with``."""
+    state = completion._State(obs, _as_labels(y), lambda2, start)
+    with state.pool:
         yield state
 
 
@@ -1045,13 +1044,24 @@ class TestTwoBlocks:
         np.testing.assert_array_equal(first.x_hat, second.x_hat)
         assert first.objective_trace == second.objective_trace
 
-    def state_with(self, pool):
-        """A two-block state whose ``each_block`` runs on ``pool``."""
+    def two_block_state(self):
         obs, y = self.instance(800, 100)
         state = completion._State(obs, _as_labels(y), 1.0, obs.values)
         assert state.count == 2
-        state.pool = pool
         return state
+
+    def test_state_makes_its_worker(self):
+        # a state built outside fit runs block 1 on its own worker, which
+        # starts at the first call and ends with the with
+        before = threading.active_count()
+        state = self.two_block_state()
+        assert threading.active_count() == before
+        with state.pool:
+            ran_on = state.each_block(lambda i: threading.current_thread())
+            assert threading.active_count() == before + 1
+        assert ran_on[0] is threading.current_thread()
+        assert ran_on[1].name.startswith("activemc-apg")
+        assert threading.active_count() == before
 
     def test_worker_starts_only_at_the_split_size(self, monkeypatch):
         # each fit's worker lives while the fit runs and ends when it returns
@@ -1094,10 +1104,10 @@ class TestTwoBlocks:
         def block(i):
             seen[i] = np.geterr()
 
-        with ThreadPoolExecutor(1) as pool, \
-                np.errstate(divide="raise", over="ignore", under="warn", invalid="print"):
+        state = self.two_block_state()
+        with state.pool, np.errstate(divide="raise", over="ignore", under="warn", invalid="print"):
             expected = np.geterr()
-            self.state_with(pool).each_block(block)
+            state.each_block(block)
         assert expected != np.geterr()  # a state other than the default
         assert seen == {0: expected, 1: expected}
 
@@ -1113,8 +1123,9 @@ class TestTwoBlocks:
             if i == failing:
                 raise ValueError(f"block {i}")
 
-        with ThreadPoolExecutor(1) as pool, pytest.raises(ValueError, match=f"^block {failing}$"):
-            self.state_with(pool).each_block(block)
+        state = self.two_block_state()
+        with state.pool, pytest.raises(ValueError, match=f"^block {failing}$"):
+            state.each_block(block)
         assert sorted(ended) == [0, 1]
 
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
