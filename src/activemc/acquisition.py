@@ -9,13 +9,12 @@ the solver cannot pin down, so they are worth querying.
 
 from __future__ import annotations
 
-import operator
 from collections import deque
 
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .matrix import _as_mask, _as_matrix, _check_finite
+from .matrix import _as_mask, _as_matrix, _check_finite, _is_int
 
 
 class InformativenessTracker:
@@ -29,7 +28,9 @@ class InformativenessTracker:
     """
 
     def __init__(self, window: int = 0):
-        self.window = operator.index(window)  # a float fails here instead of truncating
+        if not _is_int(window):  # a float would truncate, False mean unbounded
+            raise TypeError(f"window must be an integer, got {window!r}")
+        self.window = int(window)
         if self.window < 0 or self.window == 1:
             raise ValueError("window must be 0 (unbounded) or at least 2")
         self._kept: deque[np.ndarray] = deque(maxlen=self.window or None)
@@ -67,6 +68,8 @@ def informativeness(tracker: InformativenessTracker,
 
 def select_top_k(scored, k: int) -> np.ndarray:
     """Positions of the k top scores in ``(rows, cols, scores)``, ties by row, then column."""
+    if not _is_int(k):
+        raise TypeError(f"k must be an integer, got {k!r}")
     if k < 1:
         raise ValueError("k must be at least 1")
     rows, cols, scores = scored

@@ -60,9 +60,9 @@ A matrix of at least ``_SPLIT_CELLS`` cells runs the inner step's
 row-separable passes on two fixed halves of its long side (the rows, or a
 wide matrix's columns): the momentum point's two passes with the half's
 partial Gram matrix, summed for SVT, then the rank-``k`` rebuild with the
-half's share of the next value. Such a state makes one worker thread, to
-run the second half while the caller runs the first, and ``fit`` ends it
-when it returns or raises. The small eigendecomposition, the sums of the
+half's share of the next value. Such a state makes one worker thread,
+started at the first step, to run the second half while the caller runs
+the first; ``fit`` ends it when it returns or raises. The small eigendecomposition, the sums of the
 partial results and the best-iterate and stop logic stay with the caller,
 so a step synchronises twice. The split depends on the shape alone, never
 on the CPU count, and below the crossover the same code runs one block
@@ -202,9 +202,8 @@ class _State:
     Its arrays are C-ordered tall views, held split into ``count`` row
     blocks: np.dot and np.matmul write only into a C-ordered out, and a wide
     matrix goes back transposed, as SVT hands a wide matrix back.
-    ``current`` indexes the buffer that holds the current matrix. ``pool``
-    is a two-block state's worker, or a ``nullcontext`` for one block; run
-    the state inside ``with state.pool``, which ends the worker.
+    ``current`` indexes the buffer that holds the current matrix, and
+    ``pool`` is the worker, a ``nullcontext`` for one block.
     """
 
     def __init__(self, obs, y, lambda2, start):
@@ -227,7 +226,6 @@ class _State:
             # loads logging, which costs every process about 6 ms and 1 MB
             from concurrent.futures import ThreadPoolExecutor
 
-            # its thread starts at the first submit
             self.pool = ThreadPoolExecutor(1, thread_name_prefix="activemc-apg")
 
     def tall(self, a):
@@ -496,7 +494,6 @@ def fit(obs: PartialMatrix, labels, cfg: CompletionConfig | None = None,
     state = _State(obs, y, cfg.lambda2, start)  # for every round: see the module docstring
     trace: list[float] = []
     inner_total = 0
-    converged = False
     inner_tol = cfg.tol
 
     with state.pool:  # the worker, if any, ends when fit returns or raises
@@ -517,8 +514,7 @@ def fit(obs: PartialMatrix, labels, cfg: CompletionConfig | None = None,
             trace.append(current)
             change = abs(previous - current) / max(abs(previous), 1e-12)
             if change < cfg.tol:
-                converged = True
                 break
             inner_tol = max(cfg.tol, _KAPPA * change)
 
-    return CompletionResult(x_hat, model, trace, inner_total, converged)
+    return CompletionResult(x_hat, model, trace, inner_total, change < cfg.tol)

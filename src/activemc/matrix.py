@@ -30,6 +30,11 @@ def _check_finite(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is an integer, a numpy one too; a bool is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _as_mask(mask, shape) -> np.ndarray:
     m = np.asarray(mask)
     if m.shape != shape:
@@ -65,6 +70,8 @@ class PartialMatrix:
 
     def observe(self, row: int, col: int, value: float) -> None:
         """Reveal one cell. Raises if the cell is outside the grid or already observed."""
+        if not (_is_int(row) and _is_int(col)):
+            raise TypeError(f"row and col must be integers, got entry ({row!r}, {col!r})")
         n, d = self.values.shape
         # a negative index would reveal a cell counted from the end
         if not (0 <= row < n and 0 <= col < d):

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError
+from .matrix import _is_int
 
 # Children drawn per batch of random numbers, bounding the memory of a long run.
 _CHUNK = 1024
@@ -225,6 +226,8 @@ def poss_optimize(problem: BiObjectiveProblem, iterations: int, *,
     objectives. Empty from an empty pool or when nothing fits the budget.
     Deterministic for a given seeded ``rng``.
     """
+    if not _is_int(iterations):
+        raise TypeError(f"iterations must be an integer, got {iterations!r}")
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
     n = len(problem)

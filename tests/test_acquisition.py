@@ -94,10 +94,10 @@ class TestTracker:
         with pytest.raises(ValueError, match=r"^window must be 0 \(unbounded\) or at least 2$"):
             InformativenessTracker(window=window)
 
-    @pytest.mark.parametrize("window", [2.5, 3.0])
+    @pytest.mark.parametrize("window", [2.5, 3.0, False, True])
     def test_non_integer_window_rejected(self, window):
-        # int() used to truncate 2.5 to a 2-snapshot window
-        with pytest.raises(TypeError):
+        # int() used to truncate 2.5 to a 2-snapshot window, and False meant unbounded
+        with pytest.raises(TypeError, match=rf"^window must be an integer, got {window!r}$"):
             InformativenessTracker(window=window)
 
     @pytest.mark.parametrize("window", [0, 8])
@@ -218,6 +218,13 @@ class TestSelection:
     def test_k_validated(self):
         with pytest.raises(ValueError):
             select_top_k(self.scores(), 0)
+
+    @pytest.mark.parametrize("k", [1.5, True])
+    def test_non_integer_k_rejected(self, k):
+        # a bool would be read as 1, and a float fail in slicing without naming k
+        with pytest.raises(TypeError, match=rf"^k must be an integer, got {k!r}$"):
+            select_top_k(self.scores(), k)
+        assert select_top_k(self.scores(), np.int64(2)).tolist() == [1, 2]
 
     def test_uniform_costs_match_plain_selection(self):
         np.testing.assert_array_equal(select_cost_ratio(self.scores(), np.ones(2), 2),

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from paper_checks import coherence
@@ -108,6 +110,16 @@ class TestPartialMatrix:
         # a negative index would otherwise reveal a cell counted from the end
         pm = PartialMatrix(np.zeros((2, 3)), np.zeros((2, 3), bool))
         with pytest.raises(IndexError, match=rf"^entry \({row}, {col}\) is outside the 2x3 grid$"):
+            pm.observe(row, col, 1.0)
+        assert not pm.mask.any() and not pm.values.any()
+
+    @pytest.mark.parametrize("row, col", [(True, 2), (1.0, 2), (0, np.float64(2))],
+                             ids=["bool-row", "float-row", "numpy-float-col"])
+    def test_observe_rejects_a_non_integer_index(self, row, col):
+        # numpy would read a bool as a mask and refuse a float without naming the entry
+        pm = PartialMatrix(np.zeros((3, 3)), np.zeros((3, 3), bool))
+        message = f"row and col must be integers, got entry ({row!r}, {col!r})"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
             pm.observe(row, col, 1.0)
         assert not pm.mask.any() and not pm.values.any()
 

@@ -236,6 +236,14 @@ class TestPossOptimize:
         with pytest.raises(ValueError):
             poss_optimize(p, rng=np.random.default_rng(0), **kwargs)
 
+    @pytest.mark.parametrize("iterations", [True, 2.5])
+    def test_non_integer_iterations_rejected(self, iterations):
+        # a bool would run one iteration, and a float fail without naming iterations
+        p = small_problem([1.0, 2.0], [1.0, 1.0], 1.0)
+        with pytest.raises(TypeError, match=rf"^iterations must be an integer, got {iterations!r}$"):
+            poss_optimize(p, iterations, rng=np.random.default_rng(0))
+        assert poss_optimize(p, np.int64(50), rng=np.random.default_rng(0)).tolist() == [1]
+
     def test_empty_pool(self):
         p = BiObjectiveProblem(np.array([]), np.array([]), 1.0)
         chosen = poss_optimize(p, 100, rng=np.random.default_rng(0))
