@@ -28,7 +28,7 @@ class InformativenessTracker:
     """
 
     def __init__(self, window: int = 0):
-        if not _is_int(window):  # a float would truncate, False mean unbounded
+        if not _is_int(window):  # int() would truncate 2.5; False would mean unbounded
             raise TypeError(f"window must be an integer, got {window!r}")
         self.window = int(window)
         if self.window < 0 or self.window == 1:

@@ -60,9 +60,9 @@ A matrix of at least ``_SPLIT_CELLS`` cells runs the inner step's
 row-separable passes on two fixed halves of its long side (the rows, or a
 wide matrix's columns): the momentum point's two passes with the half's
 partial Gram matrix, summed for SVT, then the rank-``k`` rebuild with the
-half's share of the next value. Such a state makes one worker thread,
-started at the first step, to run the second half while the caller runs
-the first; ``fit`` ends it when it returns or raises. The small eigendecomposition, the sums of the
+half's share of the next value. Such a state starts one worker thread at
+its first step, to run the second half while the caller runs the first;
+``fit`` ends it. The small eigendecomposition, the sums of the
 partial results and the best-iterate and stop logic stay with the caller,
 so a step synchronises twice. The split depends on the shape alone, never
 on the CPU count, and below the crossover the same code runs one block
