@@ -56,24 +56,24 @@ steps, the momentum point's scratch and two iterate buffers. The start
 is copied into one buffer, so the current matrix is always one of the
 two; a new iterate goes into the one not holding the best iterate.
 
-A matrix of at least ``_SPLIT_CELLS`` cells runs the inner step's
-row-separable passes on two fixed halves of its long side (the rows, or a
-wide matrix's columns): the momentum point's two passes with the half's
-partial Gram matrix, summed for SVT, then the rank-``k`` rebuild with the
-half's share of the next value. Such a state starts one worker thread at
-its first step, to run the second half while the caller runs the first;
-``fit`` ends it. The small eigendecomposition, the sums of the
-partial results and the best-iterate and stop logic stay with the caller,
-so a step synchronises twice. The split depends on the shape alone, never
-on the CPU count, and below the crossover the same code runs one block
-inline and starts no thread. The worker sets the caller's ``np.errstate``,
-read with ``np.geterr()``, around its half, as neither numpy 2's context
-variable nor numpy 1's per-thread state crosses to another thread. Every
-value of the smooth part, the inner loop's and the refit's, is summed from
-the same blocks in the same order, so the two agree bit for bit. An
-iterate's ``G`` is completed at the start of the next step, once the label
-residual ``x @ w`` is summed: a column half of a wide matrix holds only
-part of it.
+A tall matrix of at least ``_SPLIT_CELLS`` cells runs the inner step's
+row-separable passes on two fixed halves of its rows: the momentum point's
+two passes with the half's partial Gram matrix, summed for SVT, then the
+rank-``k`` rebuild with the half's rows of the next value and of the label
+residual ``x @ w``. Such a state starts one worker thread at its first
+step, to run the second half while the caller runs the first; ``fit`` ends
+it. The small eigendecomposition, the sum of the partial Gram matrices and
+the best-iterate and stop logic stay with the caller, so a step
+synchronises twice. The split depends on the shape alone, never on the CPU
+count. A smaller matrix, and a wide one of any size, runs the same code as
+one block of its tall view inline and starts no thread, so no block ever
+holds a partial sum of the label residual. The worker sets the caller's
+``np.errstate``, read with ``np.geterr()``, around its half, as neither
+numpy 2's context variable nor numpy 1's per-thread state crosses to
+another thread. Every value of the smooth part, the inner loop's and the
+refit's, is summed from the same blocks in the same order, so the two
+agree bit for bit. An iterate's ``G`` is completed at the start of the
+next step.
 """
 
 from __future__ import annotations
@@ -91,12 +91,12 @@ from .matrix import PartialMatrix, _as_matrix, _check_finite, trace_norm
 # each round after the first solves its matrix block to within this fraction
 # of the previous round's relative objective change (never below cfg.tol)
 _KAPPA = 1e-3
-# A matrix with at least this many cells runs the inner step's row-separable
-# passes as two halves of its long side, one on the worker thread; a smaller
-# one runs them as one block inline and starts no thread. In a sweep of
-# widths 20 to 200 on two cores with one BLAS thread each, two halves began
-# to win between 30,000 and 70,000 cells, by width, and won at every width
-# from here on.
+# A tall matrix with at least this many cells runs the inner step's
+# row-separable passes as two halves of its rows, one on the worker thread; a
+# smaller or wide one runs them as one block inline and starts no thread. In
+# a sweep of widths 20 to 200 on two cores with one BLAS thread each, two
+# halves began to win between 30,000 and 70,000 cells, by width, and won at
+# every width from here on.
 _SPLIT_CELLS = 70_000
 
 
@@ -188,9 +188,10 @@ def _check_shapes(x_hat: np.ndarray, obs: PartialMatrix, model, labels):
 
 
 def _blocks(shape) -> tuple[slice, ...]:
-    """Row slices of the tall view of a ``shape`` matrix, from the shape alone."""
+    """Row slices of the tall view of a ``shape`` matrix, from the shape alone:
+    one block for a wide matrix, two halves for a tall one of the split size."""
     rows = max(shape)
-    if shape[0] * shape[1] < _SPLIT_CELLS:
+    if shape[0] < shape[1] or shape[0] * shape[1] < _SPLIT_CELLS:
         return (slice(0, rows),)
     half = (rows + 1) // 2
     return slice(0, half), slice(half, rows)
@@ -254,23 +255,19 @@ class _State:
     def part(self, i, x, out):
         """Block ``i``, ``x`` of the point and ``out`` of scratch: leaves the
         masked data residual over ``l`` in ``out`` and returns its squared
-        norm and the block's share of ``x @ w``."""
+        norm and the block's rows of ``x @ w``."""
         # the mask zeroes the residual off the observed cells
         np.subtract(x, self.values[i], out=out)
         out *= self.mask_l[i]
-        # a wide block's share is a partial sum, a tall block's a run of rows
-        share = self.w[i] @ x if self.wide else x @ self.w
-        return float(np.vdot(out, out)), share
+        return float(np.vdot(out, out)), self.w @ x if self.wide else x @ self.w
 
     def value_now(self, model, out):
         """``value`` of the current matrix under ``model``, ``out`` scratch;
         ``model`` stays set: ``L``, the weights, the offset, the mask over ``L``."""
         if model is not self.model:
-            w = model.weights
+            w = self.w = model.weights
             self.model, self.offset = model, model.bias - self.y
             self.l = 1.0 + 2.0 * self.lambda2 * float(w @ w)  # L of the module docstring
-            # a block of a wide matrix holds columns, so it meets only their weights
-            self.w = tuple(w[s] for s in self.blocks) if self.wide else w
             np.divide(self.mask, self.l, out=self.scaled_mask)
         x = self.iterates[self.current]
         return self.value(self.each_block(lambda i: self.part(i, x[i], out[i])))
@@ -284,7 +281,7 @@ class _State:
         else:
             (data, res), (data_1, res_1) = parts
             data += data_1
-            res = res + res_1 if self.wide else np.concatenate((res, res_1))
+            res = np.concatenate((res, res_1))
         res = res + self.offset
         return 0.5 * self.l * self.l * data + self.lambda2 * float(res @ res), res
 
@@ -365,8 +362,7 @@ def _apg(state, model, cfg, tr_warm, tol):
     """Accelerated proximal gradient on the matrix block, model fixed.
 
     Starts from the state's current matrix ``warm``, whose trace norm is
-    ``tr_warm`` (0.0 when lambda1 is 0, where none is computed).
-    ``tol`` is the relative objective change that stops the loop.
+    ``tr_warm``; ``tol`` is the relative objective change that stops the loop.
     Every step is ``x_next = svt(G(z), lambda1 / L)`` at the momentum point
     ``z``, with ``G`` and ``L`` of the module docstring; ``G(z)`` comes from
     the carried steps of the last two iterates, so ``z`` is never formed.
@@ -404,20 +400,17 @@ def _apg(state, model, cfg, tr_warm, tol):
             # G(z) == (1 + beta) * (G(x) - beta / (1 + beta) * G(x_prev))
             np.multiply(g_prev[i], beta / (1.0 + beta), out=point[i])
             np.subtract(g_curr[i], point[i], out=point[i])
-        return step[i].T @ step[i] if lam1 else None
+        return step[i].T @ step[i]
 
     def proximal_step(i):
         """Block ``i`` of the new iterate, and its ``part`` of the value."""
-        if lam1:
-            # step @ V_k goes into g_prev's block, free until part() below:
-            # early steps keep about all columns, so it is nearly n x d
-            rows, kept = step[i].shape[0], v_k.shape[1]
-            scaled = g_prev[i].reshape(-1)[:rows * kept].reshape(rows, kept)
-            np.matmul(step[i], v_k, out=scaled)
-            scaled *= coef
-            np.matmul(scaled, v_k.T, out=x_next[i])
-        else:  # the proximal map of a zero penalty is the identity
-            np.multiply(step[i], 1.0 + beta, out=x_next[i])
+        # step @ V_k goes into g_prev's block, free until part() below:
+        # early steps keep about all columns, so it is nearly n x d
+        rows, kept = step[i].shape[0], v_k.shape[1]
+        scaled = g_prev[i].reshape(-1)[:rows * kept].reshape(rows, kept)
+        np.matmul(step[i], v_k, out=scaled)
+        scaled *= coef
+        np.matmul(scaled, v_k.T, out=x_next[i])
         return state.part(i, x_next[i], g_prev[i])
 
     for k in range(cfg.max_inner):
@@ -429,12 +422,9 @@ def _apg(state, model, cfg, tr_warm, tol):
         else:
             left, right = split(res[:, None]), w_row
         grams = each_block(momentum_point)
-        if lam1:
-            gram = grams[0] if count == 1 else grams[0] + grams[1]
-            v_k, coef, sig = _svt_basis(gram, lam1 / l, 1.0 + beta)
-            tr_next = float(sig.sum())
-        else:
-            tr_next = 0.0
+        gram = grams[0] if count == 1 else grams[0] + grams[1]
+        v_k, coef, sig = _svt_basis(gram, lam1 / l, 1.0 + beta)
+        tr_next = float(sig.sum())
         # never the best iterate's buffer
         j = 1 - best
         x_next = state.iterates[j]
@@ -490,7 +480,7 @@ def fit(obs: PartialMatrix, labels, cfg: CompletionConfig | None = None,
     _check_shapes(start, obs, None, y)
     # x_hat's trace norm, carried from here on (SVT gives each candidate's; a
     # refit keeps x_hat), taken before the state: SVD's copy is not held beside it
-    tr_hat = trace_norm(start) if cfg.lambda1 else 0.0
+    tr_hat = trace_norm(start)
     state = _State(obs, y, cfg.lambda2, start)  # for every round: see the module docstring
     trace: list[float] = []
     inner_total = 0

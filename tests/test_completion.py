@@ -72,7 +72,7 @@ def solver_state(obs, y, lambda2, start):
 def solve(obs, model, y, cfg, warm):
     """One inner solve at ``cfg.tol``: (best x, objective without the ridge term, steps)."""
     warm = np.asarray(warm, dtype=float)
-    tr_warm = trace_norm(warm) if cfg.lambda1 else 0.0
+    tr_warm = trace_norm(warm)
     with solver_state(obs, y, cfg.lambda2, warm) as state:
         best_x, _, best_f, _, steps = completion._apg(state, model, cfg, tr_warm, cfg.tol)
     return best_x, best_f, steps
@@ -103,7 +103,7 @@ def reference_apg(obs, model, y, cfg, warm, tr_warm, tol):
         f_curr = f_next
         if rel < tol:
             break
-    return best_x, trace_norm(best_x) if cfg.lambda1 else 0.0, best_f, start_f, k + 1, values
+    return best_x, trace_norm(best_x), best_f, start_f, k + 1, values
 
 
 def use_reference_apg(monkeypatch, obs):
@@ -452,7 +452,7 @@ class TestApgMinimize:
             patch.setattr(completion, "_svt_basis", recorded)
             best_x, best_f, steps = solve(obs, model, y, cfg, warm)
         assert steps == cfg.max_inner
-        assert len(seen) == (steps if lambda1 else 0)  # lambda1 = 0 runs no SVT
+        assert len(seen) == steps  # one SVT per step, at lambda1 = 0 too
 
         lip = 1.0 + 2.0 * cfg.lambda2 * float(model.weights @ model.weights)
         x_prev = x_curr = warm
@@ -463,12 +463,11 @@ class TestApgMinimize:
             step = z - grad_g(z, obs, model, y, cfg.lambda2) / lip
             x_prev, x_curr = x_curr, svt(step, cfg.lambda1 / lip)
             theta_prev, theta = theta, 0.5 * (np.sqrt(theta**4 + 4 * theta**2) - theta**2)
-            if lambda1:
-                gram, tau, shrunk = seen[k]
-                tall = step.T if shape[0] < shape[1] else step
-                assert tau == cfg.lambda1 / lip
-                assert_rel_close(gram, tall.T @ tall, 1e-10)
-                assert_rel_close(shrunk, svt_reference(step, tau)[1], 1e-10)
+            gram, tau, shrunk = seen[k]
+            tall = step.T if shape[0] < shape[1] else step
+            assert tau == cfg.lambda1 / lip
+            assert_rel_close(gram, tall.T @ tall, 1e-10)
+            assert_rel_close(shrunk, svt_reference(step, tau)[1], 1e-10)
             iterates.append(x_curr)
             values.append(objective(x_curr, obs, model, y, cfg))
         # the best iterate is returned with its objective (ridge = 0 here)
@@ -913,34 +912,10 @@ class TestFit:
             tracemalloc.stop()
         assert len(in_use) == 1 and in_use[0] < 0.5 * obs.values.nbytes
 
-    def test_lambda1_zero_runs_no_decomposition(self, monkeypatch):
+    def test_lambda1_zero_matches_the_reference(self, monkeypatch):
+        # at lambda1 = 0 each step's SVT thresholds at 0, the identity up to rounding
         obs, y = self.supervised_instance(16, n=60, d=8)
-        calls = []
-        inside_apg = [False]
-        real_apg = completion._apg
-
-        def apg(*args, **kwargs):
-            inside_apg[0] = True
-            try:
-                return real_apg(*args, **kwargs)
-            finally:
-                inside_apg[0] = False
-
-        def counted(name):
-            real = getattr(np.linalg, name)
-
-            def wrapper(*args, **kwargs):
-                if inside_apg[0]:
-                    calls.append(name)
-                return real(*args, **kwargs)
-            return wrapper
-
-        with monkeypatch.context() as patch:
-            patch.setattr(completion, "_apg", apg)
-            for name in ("eigh", "svd"):
-                patch.setattr(np.linalg, name, counted(name))
-            result = fit(obs, y, CompletionConfig(lambda1=0.0))
-        assert calls == []
+        result = fit(obs, y, CompletionConfig(lambda1=0.0))
 
         # reference: a full-SVD SVT at a threshold too small to move any
         # singular value, with a penalty too small to change the objective
@@ -1013,7 +988,7 @@ class TestInnerTolerance:
 
 
 class TestTwoBlocks:
-    """The inner step's row-separable passes on two halves of the long side."""
+    """The inner step's row-separable passes on two halves of a tall matrix's rows."""
 
     @staticmethod
     def instance(n, d, seed=0):
@@ -1022,21 +997,17 @@ class TestTwoBlocks:
         obs, _ = masked_problem(x, init_mask(x.shape, 0.6, seed), True)
         return obs, y
 
-    @pytest.mark.parametrize("shape", [(800, 100), (100, 800)], ids=["tall", "wide"])
-    def test_two_blocks_agree_with_one(self, monkeypatch, shape):
-        obs, y = self.instance(*shape)
-        assert len(completion._blocks(shape)) == 2
+    def test_two_blocks_agree_with_one(self, monkeypatch):
+        obs, y = self.instance(800, 100)
+        assert len(completion._blocks(obs.shape)) == 2
         two = fit(obs, y)
         monkeypatch.setattr(completion, "_SPLIT_CELLS", obs.values.size + 1)
-        assert len(completion._blocks(shape)) == 1
+        assert len(completion._blocks(obs.shape)) == 1
         one = fit(obs, y)
         assert two.inner_iterations == one.inner_iterations
         assert len(two.objective_trace) == len(one.objective_trace) > 1
         np.testing.assert_allclose(two.objective_trace, one.objective_trace, rtol=1e-12, atol=0)
         assert_rel_close(two.x_hat, one.x_hat, 1e-10)
-        # SVT hands a wide matrix back transposed, and each round after the
-        # first starts from it
-        assert two.x_hat.flags.c_contiguous == (shape[0] > shape[1])
 
     def test_two_block_fits_are_bitwise_equal(self):
         obs, y = self.instance(800, 100, seed=1)
@@ -1064,7 +1035,8 @@ class TestTwoBlocks:
         assert threading.active_count() == before
 
     def test_worker_starts_only_at_the_split_size(self, monkeypatch):
-        # each fit's worker lives while the fit runs and ends when it returns
+        # each fit's worker lives while the fit runs and ends when it returns;
+        # a wide matrix runs as one block at any size
         counts = []
         svt_basis = completion._svt_basis
 
@@ -1075,23 +1047,25 @@ class TestTwoBlocks:
         monkeypatch.setattr(completion, "_svt_basis", counting)
         cfg = CompletionConfig(max_outer=1, max_inner=5)
         before = threading.active_count()
-        for shape, during in [((100, 20), before), ((800, 100), before + 1)]:
+        for shape, during in [((100, 20), before), ((100, 800), before), ((800, 100), before + 1)]:
             counts.clear()
             fit(*self.instance(*shape), cfg)
             assert counts and set(counts) == {during}, shape
             assert threading.active_count() == before, shape
 
     def test_overflowing_step_is_a_divergence(self, capfd):
-        # TestFit's case at the split size: both halves' Gram sums overflow,
-        # one on the worker thread, under the caller's np.errstate
-        x = 8e152 * np.random.default_rng(0).standard_normal((100, 800))
-        mask = np.ones(x.shape, dtype=bool)
-        mask[0, 0] = False
+        # the threshold zeroes the first step, so the data residual is the
+        # data: each half's squared sum overflows, one on the worker thread,
+        # under the caller's np.errstate, while the ridge refit still fits
+        rng = np.random.default_rng(0)
+        x = 1e152 * rng.standard_normal((800, 100))
+        mask = rng.random(x.shape) < 0.6
         assert len(completion._blocks(x.shape)) == 2
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
                 DivergenceError,
                 match="^solver diverged: non-finite objective at inner step 0$") as raised:
-            fit(PartialMatrix(x, mask), np.where(np.arange(100) % 2, -1, 1))
+            fit(PartialMatrix(np.where(mask, x, 0.0), mask), np.where(np.arange(800) % 2, -1, 1),
+                CompletionConfig(lambda1=1e160))
         assert capfd.readouterr().err == ""
         # the worker ended with the fit that raised: not by collection, as
         # the traceback still holds the fit's frame and its state
