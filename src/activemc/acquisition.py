@@ -80,11 +80,14 @@ def select_cost_ratio(scored, column_costs, k: int) -> np.ndarray:
     """Positions of the top k entries of ``(rows, cols, scores)`` by score over column price.
 
     ``column_costs`` holds one price per column, each positive and finite;
-    the first that is not is named. None from an empty pool.
+    the first that is not is named, and so is the largest scored column
+    when it has no price. None from an empty pool.
     """
     rows, cols, scores = scored
     prices = np.asarray(column_costs, dtype=float)
     bad = np.flatnonzero(~((0 < prices) & (prices < np.inf)))
     if bad.size:
         raise ValueError(f"column {bad[0]} price must be positive and finite, got {prices[bad[0]]}")
+    if cols.size and cols.max() >= prices.size:
+        raise DimensionMismatchError(f"column {cols.max()} has no price: {prices.size} prices given")
     return select_top_k((rows, cols, scores / prices[cols]), k)

@@ -78,6 +78,9 @@ class PartialMatrix:
             raise IndexError(f"entry ({row}, {col}) is outside the {n}x{d} grid")
         if self.mask[row, col]:
             raise ValueError(f"entry ({row}, {col}) is already observed")
+        # numpy would store a bool as 1.0 and refuse a string without naming the entry
+        if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+            raise TypeError(f"value for entry ({row}, {col}) must be a number, got {value!r}")
         if not np.isfinite(value):
             raise NumericError(f"non-finite value for entry ({row}, {col})")
         self.values[row, col] = value

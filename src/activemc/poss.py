@@ -37,8 +37,9 @@ from .matrix import _is_int
 # Children drawn per batch of random numbers, bounding the memory of a long run.
 _CHUNK = 1024
 
-# the types evaluate refuses as positions
+# the types evaluate refuses as positions by name, and the one the search passes
 _BOOLS = frozenset((bool, np.bool_))
+_INT = frozenset((int,))
 
 
 @dataclass(frozen=True)
@@ -94,11 +95,16 @@ def evaluate(problem: BiObjectiveProblem, positions) -> Solution:
 
     Both sums are ``math.fsum``'s, exactly rounded, so they do not depend on
     the order of the positions. A boolean is refused, as it would read as
-    position 0 or 1.
+    position 0 or 1, and so is any other non-integer position.
     """
     members = tuple(sorted(set(positions)))
-    if not _BOOLS.isdisjoint(map(type, members)):
-        raise TypeError("positions must be integers, not booleans")
+    # one type test per call, as the search passes ints; others are checked one by one
+    if not _INT.issuperset(map(type, members)):
+        for position in members:
+            if type(position) in _BOOLS:
+                raise TypeError("positions must be integers, not booleans")
+            if not _is_int(position):
+                raise TypeError(f"positions must be integers, got {position!r}")
     if members and not (0 <= members[0] and members[-1] < len(problem.costs)):
         raise DimensionMismatchError("a position lies outside the pool")
     j2 = math.fsum(map(problem._costs.__getitem__, members))

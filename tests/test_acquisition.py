@@ -240,6 +240,11 @@ class TestSelection:
         with pytest.raises(ValueError, match=r"^column 1 price must be positive and finite, got "):
             select_cost_ratio(self.scores(), np.array([1.0, price]), 2)
 
+    def test_column_without_a_price_is_named(self):
+        # numpy's fancy index would refuse it without naming the prices
+        with pytest.raises(DimensionMismatchError, match=r"^column 3 has no price: 2 prices given$"):
+            select_cost_ratio(entries((0, 1, 1.0), (1, 3, 2.0)), np.ones(2), 1)
+
     def test_cost_doubling_leaves_selection_unchanged(self):
         rng = np.random.default_rng(4)
         scored = entries(*[(i, j, float(rng.uniform(0, 5))) for i in range(4) for j in range(3)])

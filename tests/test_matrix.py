@@ -123,6 +123,21 @@ class TestPartialMatrix:
             pm.observe(row, col, 1.0)
         assert not pm.mask.any() and not pm.values.any()
 
+    @pytest.mark.parametrize("bad", ["x", None, True, np.bool_(True), 1j],
+                             ids=["string", "none", "bool", "numpy-bool", "complex"])
+    def test_observe_rejects_a_non_number(self, bad):
+        pm = PartialMatrix(np.zeros((2, 2)), np.zeros((2, 2), bool))
+        message = f"value for entry (0, 1) must be a number, got {bad!r}"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            pm.observe(0, 1, bad)
+        assert not pm.mask[0, 1] and pm.values[0, 1] == 0.0
+
+    @pytest.mark.parametrize("value", [2, np.int64(2), np.float32(2.0), np.float64(2.0)])
+    def test_observe_takes_a_numpy_number(self, value):
+        pm = PartialMatrix(np.zeros((2, 2)), np.zeros((2, 2), bool))
+        pm.observe(0, 1, value)
+        assert pm.mask[0, 1] and pm.values[0, 1] == 2.0
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_observe_rejects_a_non_finite_value(self, bad):
         pm = PartialMatrix(np.zeros((2, 2)), np.zeros((2, 2), bool))

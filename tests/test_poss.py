@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -67,6 +68,14 @@ class TestEvaluate:
     def test_booleans_rejected(self, positions):
         # a bit vector would read as positions 0 and 1
         with pytest.raises(TypeError, match="^positions must be integers, not booleans$"):
+            evaluate(small_problem([1.0, 2.0], [1.0, 1.0], 2.0), positions)
+
+    @pytest.mark.parametrize("positions", [[1.0], [np.float64(0)], [0, 0.5]],
+                             ids=["float", "numpy-float", "half"])
+    def test_non_integer_position_is_named(self, positions):
+        # the list lookup would refuse a float without naming it
+        message = f"positions must be integers, got {positions[-1]!r}"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
             evaluate(small_problem([1.0, 2.0], [1.0, 1.0], 2.0), positions)
 
     def test_positions_are_a_set(self):
